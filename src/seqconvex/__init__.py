@@ -3,7 +3,7 @@ and affine finite sequences.
 
 The public surface mirrors the module layout:
 
-* :mod:`seqconvex.core` -- sequence/difference types, tolerance, mediant bounds
+* :mod:`seqconvex.core` -- sequence type, differences, tolerance, mediant bounds
 * :mod:`seqconvex.classify` -- verdicts, certificates, exact minimal eps
 * :mod:`seqconvex.extend` -- piecewise-linear extension and sampled checks
 * :mod:`seqconvex.decompose` -- convex minorant, convex/arithmetic approximants,
@@ -27,7 +27,6 @@ from .classify import (
 )
 from .core import (
     DEFAULT_TOL,
-    DeltaSequence,
     DomainError,
     QuantifierMode,
     SeqConvexError,
@@ -74,7 +73,6 @@ __all__ = [
     "ChordCheck",
     "ConvexGapError",
     "Decomposition",
-    "DeltaSequence",
     "DomainError",
     "Family",
     "GeneratorSpec",

@@ -23,10 +23,10 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     QuantifierMode,
-    Sequence,
     ValidationError,
     as_sequence,
     check_eps,
+    deltas,
 )
 
 WITNESS = "witness"
@@ -61,11 +61,6 @@ class Verdict:
     certificate: Certificate | None = None
 
 
-def _delta_array(u: Sequence) -> np.ndarray:
-    # position k holds the difference at index n = k + 1
-    return np.diff(u.as_array())
-
-
 def _worst_pair_margin(
     d: np.ndarray, eps: float, mode: QuantifierMode, two_sided: bool
 ) -> tuple[float, int, int, int]:
@@ -95,7 +90,7 @@ def is_convex(u, *, tol: float = DEFAULT_TOL) -> Verdict:
     u = as_sequence(u)
     if len(u) < 3:
         return Verdict(True)
-    d = _delta_array(u)
+    d = deltas(u)
     steps = d[1:] - d[:-1]
     k = int(np.argmin(steps))
     worst = float(steps[k])
@@ -123,7 +118,7 @@ def is_eps_convex(
     eps = check_eps(eps)
     if len(u) < 3:
         return Verdict(True)
-    worst, i, j, n = _worst_pair_margin(_delta_array(u), eps, mode, two_sided=False)
+    worst, i, j, n = _worst_pair_margin(deltas(u), eps, mode, two_sided=False)
     if worst >= -tol:
         return Verdict(True)
     return Verdict(False, Certificate(VIOLATION, "eps_convex", i, j, n, worst))
@@ -144,7 +139,7 @@ def is_eps_affine(
     eps = check_eps(eps)
     if len(u) < 3:
         return Verdict(True)
-    worst, i, j, n = _worst_pair_margin(_delta_array(u), eps, mode, two_sided=True)
+    worst, i, j, n = _worst_pair_margin(deltas(u), eps, mode, two_sided=True)
     if worst >= -tol:
         return Verdict(True)
     return Verdict(False, Certificate(VIOLATION, "eps_affine", i, j, n, worst))
@@ -165,7 +160,7 @@ def min_eps_convex(
     u = as_sequence(u)
     if len(u) < 3:
         return 0.0, None
-    d = _delta_array(u)
+    d = deltas(u)
     ii, jj = np.triu_indices(len(d), k=1)
     excess = d[ii] - d[jj]
     if mode is QuantifierMode.FORALL:
@@ -192,7 +187,7 @@ def min_eps_affine(
     u = as_sequence(u)
     if len(u) < 3:
         return 0.0, None
-    d = _delta_array(u)
+    d = deltas(u)
     ii, jj = np.triu_indices(len(d), k=1)
     spread = np.abs(d[ii] - d[jj])
     if mode is QuantifierMode.FORALL:
@@ -248,7 +243,7 @@ def replay_margin(u, cert: Certificate, *, eps: float = 0.0) -> float:
     if cert.check == "wright":
         r = cert.i + cert.j - cert.n
         return (u[cert.i] + u[cert.j]) - (u[cert.n] + u[r])
-    d = _delta_array(u)
+    d = deltas(u)
     di, dj = float(d[cert.i - 1]), float(d[cert.j - 1])
     if cert.check == "convex":
         return dj - di

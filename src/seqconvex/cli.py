@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -44,6 +45,7 @@ from .core import (
     SeqConvexError,
     Sequence,
     ValidationError,
+    check_eps,
     mediant_bounds,
 )
 from .extend import PiecewiseLinear
@@ -65,6 +67,9 @@ RNG_NOTE = {
 def _format_float(x: float) -> str:
     s = format(float(x), ".17g")
     if not any(c in s for c in ".eE"):
+        # only integral values, inf and nan format without ".", "e" or "E"
+        if not math.isfinite(x):
+            raise ValidationError(f"report value {x!r} is not finite (float overflow)")
         s += ".0"
     return s
 
@@ -254,8 +259,7 @@ def _suite_thm10(seed: int, trials: int, tol: float) -> dict:
             except dec.ConvexGapError:
                 gap_failures[mode.value] += 1
                 continue
-            half = d.eps / 2.0 + 1e-9
-            if any(abs(r) > half for r in d.residual):
+            if d.bound > d.eps / 2.0 + 1e-9:
                 violations += 1
                 if first is None:
                     first = {"trial": k, "mode": mode.value, "length": m}
@@ -343,7 +347,17 @@ def run_suite(name: str, seed: int, trials: int, tol: float = DEFAULT_TOL) -> di
 # commands
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports a package error from any command as ``error: ...`` with exit 2."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except SeqConvexError as exc:
+            _fail_input(str(exc))
+
+
+@click.group(cls=_Group)
 @click.version_option(version=__version__, prog_name="seqconvex")
 def main() -> None:
     """Classify, certify, and decompose approximately convex sequences."""
@@ -356,11 +370,21 @@ _mode_option = click.option(
     show_default=True,
     help="Quantifier over the slack index n.",
 )
+
+
+def _check_tol(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    try:
+        return check_eps(value)
+    except ValidationError:
+        raise click.BadParameter(f"not finite and nonnegative: {value!r}") from None
+
+
 _tol_option = click.option(
     "--tol",
     type=float,
     default=DEFAULT_TOL,
     show_default=True,
+    callback=_check_tol,
     help="Absolute comparison tolerance.",
 )
 _no_timing_option = click.option(
@@ -406,11 +430,8 @@ def classify_cmd(data, eps, mode, tol, strict, no_timing) -> None:
     }
     headline = results["convex"]["holds"]
     if eps is not None:
-        try:
-            ec = is_eps_convex(u, eps, qmode, tol=tol)
-            ea = is_eps_affine(u, eps, qmode, tol=tol)
-        except ValidationError as exc:
-            _fail_input(str(exc))
+        ec = is_eps_convex(u, eps, qmode, tol=tol)
+        ea = is_eps_affine(u, eps, qmode, tol=tol)
         results["eps_convex"] = _verdict_json(ec)
         results["eps_affine"] = _verdict_json(ea)
         headline = ec.holds
@@ -485,10 +506,8 @@ def decompose_cmd(data, target, mode, tol, plot_data, no_timing) -> None:
     report["results"] = _decomposition_json(d, target)
     if plot_data is not None:
         rows = ["n\tu_n\tstructured_n\tresidual_n"]
-        for n, (a, s, r) in enumerate(zip(u, d.structured, d.residual)):
-            rows.append(
-                f"{n}\t{_format_float(a)}\t{_format_float(s)}\t{_format_float(r)}"
-            )
+        for n, row in enumerate(zip(u, d.structured, d.residual)):
+            rows.append("\t".join([str(n), *map(_format_float, row)]))
         with open(plot_data, "w", encoding="utf-8") as fh:
             fh.write("\n".join(rows) + "\n")
     _finish(report, started, no_timing)
@@ -510,18 +529,14 @@ def extend_cmd(data, at_x, grid, no_timing) -> None:
     f = PiecewiseLinear(u)
     report = _base_report("extend", digest, None, DEFAULT_TOL)
     if at_x is not None:
-        try:
-            value = f.eval(at_x)
-        except SeqConvexError as exc:
-            _fail_input(str(exc))
-        report["results"] = {"at": {"x": at_x, "value": value}}
+        report["results"] = {"at": {"x": at_x, "value": f.eval(at_x)}}
     else:
         if grid < 2:
             raise click.UsageError("--grid needs at least 2 points")
-        hi = float(len(u) - 1)
-        xs = [hi * k / (grid - 1) for k in range(grid)]
+        xs = float(len(u) - 1) * np.arange(grid) / (grid - 1)
+        values = f.eval_array(xs)
         report["results"] = {
-            "grid": {"count": grid, "xs": xs, "values": [f.eval(x) for x in xs]}
+            "grid": {"count": grid, "xs": xs.tolist(), "values": values.tolist()}
         }
     _finish(report, started, no_timing)
 
@@ -553,10 +568,7 @@ def verify_cmd(suite, seed, trials, tol, no_timing) -> None:
         except ValueError:
             _fail_input(f"SEQCONVEX_SEED is not an integer: {env!r}")
     names = list(_SUITES) if suite == "all" else [suite]
-    try:
-        outcomes = [run_suite(name, seed, trials, tol) for name in names]
-    except ValidationError as exc:
-        _fail_input(str(exc))
+    outcomes = [run_suite(name, seed, trials, tol) for name in names]
     report = {
         "command": "verify",
         "input": None,

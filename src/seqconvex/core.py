@@ -12,7 +12,6 @@ that analytically tight cases survive floating-point rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -52,32 +51,37 @@ class QuantifierMode(Enum):
     FORALL = "forall"
 
 
-@dataclass(frozen=True)
 class Sequence:
     """Immutable finite sequence of real values, indexed from 0.
 
     Entries are validated once at construction: every value must be finite
-    (NaN and infinities are rejected) and the sequence must be nonempty.
+    (NaN and infinities are rejected) and the sequence must be nonempty.  They
+    are kept in one read-only float64 array; ``values`` is a tuple view of it.
     """
 
-    values: tuple[float, ...]
+    __slots__ = ("_array", "_values")
 
     def __init__(self, values: Iterable[float]) -> None:
-        coerced = []
-        for k, v in enumerate(values):
-            try:
-                f = float(v)
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"entry {k} is not a real number: {v!r}") from exc
-            if not math.isfinite(f):
-                raise ValidationError(f"entry {k} is not finite: {f!r}")
-            coerced.append(f)
-        if not coerced:
+        try:
+            arr = np.array(values, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            arr = None
+        if arr is None or arr.ndim != 1 or not np.isfinite(arr).all():
+            arr = np.array(_coerce_entries(values), dtype=float)
+        if arr.size == 0:
             raise ValidationError("a sequence needs at least one value")
-        object.__setattr__(self, "values", tuple(coerced))
+        arr.setflags(write=False)
+        self._array = arr
+        self._values = None
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        if self._values is None:
+            self._values = tuple(self._array.tolist())
+        return self._values
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self._array)
 
     def __getitem__(self, idx):
         return self.values[idx]
@@ -85,11 +89,37 @@ class Sequence:
     def __iter__(self) -> Iterator[float]:
         return iter(self.values)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return np.array_equal(self._array, other._array)
+
+    def __hash__(self) -> int:
+        return hash(self.values)
+
+    def __repr__(self) -> str:
+        return f"Sequence(values={self.values!r})"
+
     def __neg__(self) -> "Sequence":
-        return Sequence(tuple(-v for v in self.values))
+        return Sequence(-self._array)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+        """The read-only float64 array of the entries (not a copy)."""
+        return self._array
+
+
+def _coerce_entries(values: Iterable[float]) -> list[float]:
+    """Entry-by-entry conversion; the error path, naming the first bad entry."""
+    coerced = []
+    for k, v in enumerate(values):
+        try:
+            f = float(v)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"entry {k} is not a real number: {v!r}") from exc
+        if not math.isfinite(f):
+            raise ValidationError(f"entry {k} is not finite: {f!r}")
+        coerced.append(f)
+    return coerced
 
 
 def as_sequence(values) -> Sequence:
@@ -97,36 +127,12 @@ def as_sequence(values) -> Sequence:
     return values if isinstance(values, Sequence) else Sequence(values)
 
 
-@dataclass(frozen=True)
-class DeltaSequence:
-    """First differences of a sequence: entry k stores u[k+1] - u[k].
+def deltas(u: Sequence | Iterable[float]) -> np.ndarray:
+    """First differences of ``u``: entry k is u[k+1] - u[k].
 
-    Conceptually the difference at position n = k + 1 of the parent sequence,
-    so a parent of length m yields m - 1 entries.  Prefix-summing the entries
-    from u[0] reconstructs the parent (up to rounding of the same arithmetic).
-    """
-
-    values: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, idx):
-        return self.values[idx]
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
-    def is_nondecreasing(self, tol: float = 0.0) -> bool:
-        v = self.values
-        return all(v[k + 1] >= v[k] - tol for k in range(len(v) - 1))
-
-
-def deltas(u: Sequence | Iterable[float]) -> DeltaSequence:
-    """First differences of ``u``.
+    Entry k is the difference at position n = k + 1 of the parent sequence,
+    so a parent of length m yields m - 1 entries.  This is the one place the
+    library computes first differences.
 
     Raises:
         TooShortError: if ``u`` has fewer than two entries.
@@ -134,8 +140,8 @@ def deltas(u: Sequence | Iterable[float]) -> DeltaSequence:
     u = as_sequence(u)
     if len(u) < 2:
         raise TooShortError("sequence too short for differences")
-    v = u.values
-    return DeltaSequence(tuple(v[n] - v[n - 1] for n in range(1, len(v))))
+    v = u.as_array()
+    return v[1:] - v[:-1]  # what np.diff computes, without its per-call overhead
 
 
 def check_eps(eps: float) -> float:

@@ -25,6 +25,7 @@ from .core import (
     Sequence,
     ValidationError,
     as_sequence,
+    deltas,
 )
 
 #: Slope bracket refinement target for the Chebyshev line fit.
@@ -73,7 +74,7 @@ class Line:
         return self.slope * x + self.intercept
 
     def sample(self, m: int) -> Sequence:
-        return Sequence(tuple(self.at(n) for n in range(m)))
+        return Sequence(self.slope * np.arange(m) + self.intercept)
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,7 @@ def gcm(u) -> Sequence:
         return u
     hx: list[int] = []
     hy: list[float] = []
-    for x in range(m):
-        y = u[x]
+    for x, y in enumerate(u.values):
         while len(hx) >= 2:
             turn = (hx[-1] - hx[-2]) * (y - hy[-2]) - (hy[-1] - hy[-2]) * (x - hx[-2])
             if turn < 0.0:
@@ -120,14 +120,15 @@ def gcm(u) -> Sequence:
                 break
         hx.append(x)
         hy.append(y)
-    out = list(u.values)
-    for k in range(len(hx) - 1):
-        x0, x1 = hx[k], hx[k + 1]
-        if x1 - x0 > 1:
-            slope = (hy[k + 1] - hy[k]) / (x1 - x0)
-            for x in range(x0 + 1, x1):
-                out[x] = hy[k] + slope * (x - x0)
-    return Sequence(out)
+    # np.interp returns hull points exactly and fills the gaps between them
+    # with hy[k] + slope * (x - hx[k]), the chord through the two hull points.
+    return Sequence(np.interp(np.arange(m), hx, hy))
+
+
+def _split(u: Sequence, structured: np.ndarray) -> tuple[Sequence, Sequence, float]:
+    """The structured part, the residual u - structured and its uniform norm."""
+    residual = u.as_array() - structured
+    return Sequence(structured), Sequence(residual), float(np.abs(residual).max())
 
 
 def convex_approx_hyers(
@@ -146,15 +147,12 @@ def convex_approx_hyers(
     """
     u = as_sequence(u)
     eps, _ = min_eps_convex(u, mode)
-    base = gcm(u)
-    gaps = u.as_array() - base.as_array()
+    base = gcm(u).as_array()
+    gaps = u.as_array() - base
     worst = int(np.argmax(gaps))
     if gaps[worst] > eps + tol:
         raise ConvexGapError(worst, float(gaps[worst]), eps, mode)
-    half = eps / 2.0
-    structured = Sequence(tuple(b + half for b in base))
-    residual = Sequence(tuple(a - b for a, b in zip(u, structured)))
-    bound = max(abs(r) for r in residual)
+    structured, residual, bound = _split(u, base + eps / 2.0)
     return Decomposition(structured, residual, bound, eps=eps, slack=eps / 2.0 - bound)
 
 
@@ -167,10 +165,9 @@ def convex_approx_optimal(u) -> Decomposition:
     maximality, hence u - gcm(u) <= 2t pointwise.
     """
     u = as_sequence(u)
-    base = gcm(u)
-    t = max(a - b for a, b in zip(u, base)) / 2.0
-    structured = Sequence(tuple(b + t for b in base))
-    residual = Sequence(tuple(a - b for a, b in zip(u, structured)))
+    base = gcm(u).as_array()
+    t = float((u.as_array() - base).max()) / 2.0
+    structured, residual, _ = _split(u, base + t)
     return Decomposition(structured, residual, t)
 
 
@@ -197,8 +194,8 @@ def affine_approx(u) -> Decomposition:
     ns = np.arange(m, dtype=float)
     if m == 1:
         line = Line(0.0, u[0])
-        return Decomposition(u, Sequence((0.0,)), 0.0, eps=0.0, slack=0.0, line=line)
-    d = np.diff(arr)
+        return Decomposition(u, Sequence([0.0]), 0.0, eps=0.0, slack=0.0, line=line)
+    d = deltas(u)
     lo, hi = float(d.min()), float(d.max())
     if hi - lo <= 0.0:
         s = lo
@@ -222,9 +219,7 @@ def affine_approx(u) -> Decomposition:
     res = arr - s * ns
     intercept = (float(res.max()) + float(res.min())) / 2.0
     line = Line(s, intercept)
-    structured = line.sample(m)
-    residual = Sequence(tuple(a - b for a, b in zip(u, structured)))
-    bound = max(abs(r) for r in residual)
+    structured, residual, bound = _split(u, line.sample(m).as_array())
     eps, _ = min_eps_affine(u, QuantifierMode.EXISTS)
     return Decomposition(structured, residual, bound, eps=eps, slack=eps - bound, line=line)
 

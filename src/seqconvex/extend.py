@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, DomainError, Sequence, as_sequence, check_eps
+from .core import DEFAULT_TOL, DomainError, Sequence, as_sequence, check_eps, deltas
 
 #: Spans or triple legs shorter than this are treated as degenerate.
 DEGENERATE_SPAN = 1e-12
@@ -50,21 +50,14 @@ class PiecewiseLinear:
         return self.eval(x)
 
     def eval(self, x: float) -> float:
-        x = float(x)
-        hi = len(self.knots) - 1
-        if not (0.0 <= x <= hi):
-            raise DomainError(f"x={x!r} outside the domain [0, {hi}]")
-        if hi == 0:
-            return self.knots[0]
-        n = max(math.ceil(x), 1)
-        t = n - x
-        return t * self.knots[n - 1] + (1.0 - t) * self.knots[n]
+        return float(self.eval_array(np.array([x], dtype=float))[0])
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         hi = len(self.knots) - 1
-        if xs.size and (xs.min() < 0.0 or xs.max() > hi):
-            raise DomainError(f"points outside the domain [0, {hi}]")
+        outside = xs[~((xs >= 0.0) & (xs <= hi))]
+        if outside.size:
+            raise DomainError(f"x={float(outside[0])!r} outside the domain [0, {hi}]")
         v = self.knots.as_array()
         if hi == 0:
             return np.full_like(xs, v[0])
@@ -199,8 +192,7 @@ def check_chord_slope_bounds(
         raise DomainError(f"degenerate span: y - x = {y - x!r}")
     n1 = int(math.floor(x))
     n2 = int(math.ceil(y))
-    v = f.knots.as_array()
-    slopes = v[n1 + 1 : n2 + 1] - v[n1:n2]
+    slopes = deltas(f.knots)[n1:n2]
     fy_fx = f.eval(y) - f.eval(x)
     upper_margin = (float(slopes.max()) - eps / (n2 - n1)) - (fy_fx - eps) / (y - x)
     lower_margin = (fy_fx + eps) / (y - x) - (float(slopes.min()) + eps / (y - x))

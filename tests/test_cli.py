@@ -1,10 +1,25 @@
+import hashlib
 import json
 
 import pytest
 from click.testing import CliRunner
 
-from seqconvex import Certificate, replay_margin
+from seqconvex import Certificate, oracle, replay_margin
 from seqconvex.cli import main, render_json
+
+#: Every command that reads a data file, in the argument forms the tests run.
+DATA_COMMANDS = (
+    ["classify", "--eps", "0.5", "--mode", "exists"],
+    ["classify", "--eps", "0.5", "--mode", "forall"],
+    ["eps-min", "--mode", "exists"],
+    ["eps-min", "--mode", "forall"],
+    ["decompose", "--target", "convex", "--mode", "exists"],
+    ["decompose", "--target", "convex", "--mode", "forall"],
+    ["decompose", "--target", "convex-optimal"],
+    ["decompose", "--target", "affine"],
+    ["extend", "--grid", "9"],
+    ["extend", "--at", "1.5"],
+)
 
 
 @pytest.fixture
@@ -278,3 +293,73 @@ def test_render_json_float_format():
     assert json.loads(render_json(0.1)) == 0.1
     assert render_json(True) == "true"
     assert render_json(None) == "null"
+
+
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "values", ["-1e308,1e308,-1e308", "0,1e308,0", "1.5e308,1.5e308,1.5e308,1.5e308"]
+)
+@pytest.mark.parametrize("args", DATA_COMMANDS, ids=" ".join)
+def test_overflowing_input_gives_strict_json_or_error(runner, tmp_path, values, args):
+    path = tmp_path / "huge.csv"
+    path.write_text(values + "\n")
+    result = runner.invoke(main, args + ["--no-timing", str(path)])
+    assert result.exit_code in (0, 1, 2)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    if result.stdout:
+        strict_json(result.stdout)
+    if result.exit_code == 2:
+        assert result.stdout == "" and result.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_tol_must_be_finite_and_nonnegative(runner, peak_csv, tol):
+    result = runner.invoke(main, ["eps-min", "--tol", tol, peak_csv])
+    assert result.exit_code == 2
+    assert "not finite and nonnegative" in result.stderr
+    assert result.stdout == ""
+
+
+#: Inputs of the golden-report test; "convex-gap" makes
+#: ``decompose --target convex --mode exists`` exit 1.
+GOLDEN_INPUTS = {
+    "uniform": oracle.GeneratorSpec(11, 40, oracle.Family.RANDOM_UNIFORM),
+    "integer-grid": oracle.GeneratorSpec(12, 30, oracle.Family.INTEGER_GRID, grid_range=2),
+    "convex-noise": oracle.GeneratorSpec(13, 50, oracle.Family.CONVEX_PLUS_NOISE, eps=0.2),
+    "convex-gap": oracle.GeneratorSpec(98, 20, oracle.Family.RANDOM_UNIFORM),
+}
+
+#: sha256 over the exit codes and ``--no-timing`` reports of every command on
+#: each input; a change to any report byte changes its digest.
+GOLDEN_DIGESTS = {
+    "uniform": "88e4fe67ebfc977dd979e99ad2c46987a584800263b1df25e641da8179f7dae5",
+    "integer-grid": "9d01b9e919135ea321645606a13c8cf2b40126db01556b2af52894b0f86e007d",
+    "convex-noise": "6fcdf4fb3ad377974078e7e12ea76902c171ed6a5373369220876bf0f4132efe",
+    "convex-gap": "52acfd75964f15186d1bbf3a4062d89fab64cd2bf35daa662f9d89fb38d412be",
+    "verify": "f508aa0c19430fa072f89cdfb25d675dfe60e9edcfe2d9cad998911cb0b8bbc7",
+}
+
+
+def test_reports_match_golden_digests(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # reports name the input by the path given
+    digests = {}
+    for name, spec in GOLDEN_INPUTS.items():
+        path = f"{name}.json"
+        (tmp_path / path).write_text(json.dumps(list(oracle.generate(spec))))
+        h = hashlib.sha256()
+        for args in DATA_COMMANDS:
+            result = runner.invoke(main, args + ["--no-timing", path])
+            h.update(f"{result.exit_code}\n".encode() + result.stdout_bytes)
+        digests[name] = h.hexdigest()
+    verify = runner.invoke(main, ["verify", "--seed", "5", "--trials", "30", "--no-timing"])
+    digests["verify"] = hashlib.sha256(verify.stdout_bytes).hexdigest()
+    assert digests == GOLDEN_DIGESTS

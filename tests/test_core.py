@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,6 +64,41 @@ def test_sequence_is_immutable():
     assert list(-u) == [-1.0, -2.0, -3.0]
 
 
+def test_sequence_array_is_read_only_and_shared():
+    source = np.array([1.0, 2.0, 3.0])
+    u = Sequence(source)
+    source[0] = 9.0  # the sequence keeps its own copy
+    arr = u.as_array()
+    assert arr is u.as_array()
+    assert arr.dtype == np.float64 and arr.tolist() == [1.0, 2.0, 3.0]
+    with pytest.raises(ValueError):
+        arr[0] = 5.0
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([[1, 2]], "entry 0 is not a real number"),
+        ([1, None], "entry 1 is not a real number"),
+        ([1, 2, float("inf")], "entry 2 is not finite"),
+        ([1, 10**400], "entry 1 is not a real number"),
+    ],
+)
+def test_sequence_error_names_the_entry(values, message):
+    with pytest.raises(ValidationError, match=message):
+        Sequence(values)
+
+
+def test_sequence_equality_and_hash():
+    a, b = Sequence([1, 2]), Sequence((1.0, 2.0))
+    assert a == b and hash(a) == hash(b)
+    zero, minus_zero = Sequence([0.0]), Sequence([-0.0])
+    assert zero == minus_zero and hash(zero) == hash(minus_zero)
+    assert a != Sequence([1, 3]) and a != Sequence([1, 2, 3])
+    assert a != (1.0, 2.0)
+    assert len({a, b}) == 1
+
+
 def test_mediant_single_term():
     assert mediant_bounds([1], [2]) == (0.5, 0.5)
 
@@ -110,4 +146,4 @@ def test_mediant_sandwich(terms):
 def test_convexity_bridge(values):
     # nondecreasing differences and zero-tolerance convexity coincide exactly
     u = Sequence(values)
-    assert deltas(u).is_nondecreasing() == is_convex(u, tol=0.0).holds
+    assert bool(np.all(np.diff(deltas(u)) >= 0)) == is_convex(u, tol=0.0).holds
