@@ -340,6 +340,9 @@ def run_suite(name: str, seed: int, trials: int, tol: float = DEFAULT_TOL) -> di
         raise ValidationError(f"unknown suite {name!r}")
     if trials < 1:
         raise ValidationError("trials must be positive")
+    if seed < 0:
+        # trial seeds (seed + salt) * SEED_STRIDE + k must stay nonnegative
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     return _SUITES[name](seed, trials, tol)
 
 
@@ -553,7 +556,7 @@ def extend_cmd(data, at_x, grid, no_timing) -> None:
     "--seed",
     type=int,
     default=None,
-    help="Base seed (falls back to SEQCONVEX_SEED, then 0).",
+    help="Nonnegative base seed (falls back to SEQCONVEX_SEED, then 0).",
 )
 @click.option("--trials", type=int, default=1000, show_default=True)
 @_tol_option

@@ -4,10 +4,10 @@ The workhorse is the greatest convex minorant (lower convex hull sampled on
 the integer grid).  Shifting it up by half the minimal eps-convexity slack
 gives a convex approximant whose residual stays inside [-eps/2, eps/2]
 whenever the hull gap does not exceed eps; shifting by half the maximal hull
-gap gives the best possible uniform convex approximant outright.  For the
-affine case a Chebyshev line fit minimizes the uniform error directly, and a
-separating line threads any concave lower envelope and convex upper envelope
-that do not cross.
+gap gives the best possible uniform convex approximant outright.  The
+Chebyshev line fit and a separating line threaded between a concave lower and
+a convex upper envelope both read one exact kernel: the vertical gap between
+lines on the upper hull of one sequence and under the lower hull of another.
 """
 
 from __future__ import annotations
@@ -25,11 +25,7 @@ from .core import (
     Sequence,
     ValidationError,
     as_sequence,
-    deltas,
 )
-
-#: Slope bracket refinement target for the Chebyshev line fit.
-SLOPE_TOL = 1e-10
 
 
 class ConvexGapError(SeqConvexError):
@@ -95,34 +91,61 @@ class Decomposition:
     line: Line | None = None
 
 
+def _lower_hull(y) -> list[int]:
+    """Lower convex hull vertices of the points (n, y[n]), collinear ones kept.
+
+    One monotone-chain pass, O(m); the library's only hull walk.
+    """
+    hull: list[int] = []
+    for x, v in enumerate(y):
+        while len(hull) >= 2:
+            i, j = hull[-2], hull[-1]
+            if (j - i) * (v - y[i]) - (y[j] - y[i]) * (x - i) < 0.0:
+                hull.pop()
+            else:
+                break
+        hull.append(x)
+    return hull
+
+
 def gcm(u) -> Sequence:
     """Greatest convex minorant of the sequence, sampled at every index.
 
     The pointwise-largest convex sequence lying below the input: the lower
-    convex hull of the points (n, u[n]) evaluated back on the integer grid.
-    Single monotone-chain pass, O(m).  Collinear hull points are kept, so any
-    grid point lying on the hull is returned bit-exactly; in particular a
-    convex input is a fixed point.
+    convex hull of the points (n, u[n]) evaluated back on the integer grid,
+    O(m).  Collinear hull points are kept, so any grid point lying on the
+    hull is returned bit-exactly; in particular a convex input is a fixed
+    point.
     """
     u = as_sequence(u)
     m = len(u)
     if m <= 2:
         return u
-    hx: list[int] = []
-    hy: list[float] = []
-    for x, y in enumerate(u.values):
-        while len(hx) >= 2:
-            turn = (hx[-1] - hx[-2]) * (y - hy[-2]) - (hy[-1] - hy[-2]) * (x - hx[-2])
-            if turn < 0.0:
-                hx.pop()
-                hy.pop()
-            else:
-                break
-        hx.append(x)
-        hy.append(y)
+    hx = _lower_hull(u.values)
     # np.interp returns hull points exactly and fills the gaps between them
-    # with hy[k] + slope * (x - hx[k]), the chord through the two hull points.
-    return Sequence(np.interp(np.arange(m), hx, hy))
+    # with u[hx[k]] + slope * (x - hx[k]), the chord through two hull points.
+    return Sequence(np.interp(np.arange(m), hx, u.as_array()[hx]))
+
+
+def _gap_pieces(lo: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The vertical gap F(a) = max_n(lo[n] - a*n) - min_k(up[k] - a*k), m >= 2.
+
+    F is convex and piecewise linear in the slope a, with breakpoints at the
+    edge slopes of the upper hull of lo and of the lower hull of up.  Returns
+    the sorted breakpoints ``a``, ``F(a)`` and the active pairs ``n``, ``k``:
+    F equals lo[n[i]] - up[k[i]] - a*(n[i] - k[i]) on the piece ending at
+    a[i], and the last pair, past every breakpoint, is (0, m - 1).
+    """
+    top = np.array(_lower_hull((-lo).tolist()))  # the upper hull of lo
+    bot = np.array(_lower_hull(up.tolist()))
+    top_slopes = np.diff(-lo[top]) / np.diff(top)  # both nondecreasing
+    bot_slopes = np.diff(up[bot]) / np.diff(bot)
+    a = np.sort(np.concatenate([-top_slopes, bot_slopes]))
+    ends = np.append(a, np.inf)
+    n = top[np.searchsorted(top_slopes, -ends, side="right")]
+    k = bot[np.searchsorted(bot_slopes, ends, side="left")]
+    gap = lo[n[:-1]] - up[k[:-1]] - a * (n[:-1] - k[:-1])
+    return a, gap, n, k
 
 
 def _split(u: Sequence, structured: np.ndarray) -> tuple[Sequence, Sequence, float]:
@@ -171,55 +194,31 @@ def convex_approx_optimal(u) -> Decomposition:
     return Decomposition(structured, residual, t)
 
 
-def _band_width(res: np.ndarray) -> float:
-    return float(res.max() - res.min())
-
-
 def affine_approx(u) -> Decomposition:
     """Best uniform fit by an arithmetic sequence (Chebyshev line fit).
 
-    Minimizes the band width w(s) = max(u - s*n) - min(u - s*n) over the
-    slope s; w is convex and piecewise linear, and the optimal slope always
-    lies between the smallest and largest first difference, so a
-    golden-section search over that bracket (refined to ``SLOPE_TOL``)
-    converges.  The intercept centers the final band and the bound is half
-    its width.  ``eps`` reports the minimal two-sided slack (EXISTS mode) and
-    ``slack`` its headroom over the achieved bound; the bound never exceeds
-    eps on sequences whose difference spread controls their drift, but the
-    slack is reported rather than enforced.
+    The band width w(s) = max(u - s*n) - min(u - s*n) is the gap kernel's F
+    with lo = up = u, so by equioscillation its minimum sits at a hull edge
+    slope: the slope is the breakpoint of least width, exact, with no search.
+    The intercept centers the band and the bound is half its width.  ``eps``
+    reports the minimal two-sided slack (EXISTS mode) and ``slack`` its
+    headroom over the achieved bound; the bound never exceeds eps on
+    sequences whose difference spread controls their drift, but the slack is
+    reported rather than enforced.
     """
     u = as_sequence(u)
     m = len(u)
     arr = u.as_array()
-    ns = np.arange(m, dtype=float)
     if m == 1:
         line = Line(0.0, u[0])
         return Decomposition(u, Sequence([0.0]), 0.0, eps=0.0, slack=0.0, line=line)
-    d = deltas(u)
-    lo, hi = float(d.min()), float(d.max())
-    if hi - lo <= 0.0:
-        s = lo
-    else:
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c = b - invphi * (b - a)
-        e = a + invphi * (b - a)
-        fc = _band_width(arr - c * ns)
-        fe = _band_width(arr - e * ns)
-        while b - a > SLOPE_TOL:
-            if fc <= fe:
-                b, e, fe = e, c, fc
-                c = b - invphi * (b - a)
-                fc = _band_width(arr - c * ns)
-            else:
-                a, c, fc = c, e, fe
-                e = a + invphi * (b - a)
-                fe = _band_width(arr - e * ns)
-        s = (a + b) / 2.0
-    res = arr - s * ns
+    a, width, _, _ = _gap_pieces(arr, arr)
+    s = float(a[np.argmin(width)])
+    fit = s * np.arange(m, dtype=float)
+    res = arr - fit
     intercept = (float(res.max()) + float(res.min())) / 2.0
     line = Line(s, intercept)
-    structured, residual, bound = _split(u, line.sample(m).as_array())
+    structured, residual, bound = _split(u, fit + intercept)
     eps, _ = min_eps_affine(u, QuantifierMode.EXISTS)
     return Decomposition(structured, residual, bound, eps=eps, slack=eps - bound, line=line)
 
@@ -228,11 +227,12 @@ def separating_line(lower, upper, *, tol: float = DEFAULT_TOL) -> Line:
     """Line threaded between a concave lower and a convex upper envelope.
 
     Requires equal lengths, lower concave, upper convex and lower <= upper
-    pointwise (all within tolerance).  The feasible slopes form the interval
-    between the steepest required secant from a lower point to a later upper
-    point and the shallowest allowed one to an earlier upper point; the
-    returned line takes the midpoint slope, then centers the intercept in the
-    remaining feasible band.
+    pointwise (all within tolerance).  A slope a is feasible when the gap
+    kernel's F(a) <= 0, so a lies between the largest secant
+    (lower[n] - upper[k]) / (n - k) of a piece of F with n > k and the least
+    one with n < k; these are the extremes over all pairs.  The returned line
+    takes the midpoint slope, then centers the intercept in the remaining
+    feasible band.
 
     Raises:
         SeparationInfeasibleError: when no line fits beyond tolerance, with
@@ -262,27 +262,23 @@ def separating_line(lower, upper, *, tol: float = DEFAULT_TOL) -> Line:
     if m == 1:
         return Line(0.0, (lo[0] + up[0]) / 2.0)
 
-    idx = np.arange(m, dtype=float)
-    # ratio[n, k] = (lower[n] - upper[k]) / (n - k); a feasible slope a must
-    # sit above every ratio with n > k and below every ratio with n < k.
+    _, _, n, k = _gap_pieces(lo, up)
+    d = n - k
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (lo[:, None] - up[None, :]) / (idx[:, None] - idx[None, :])
-    tri_lo = np.tril(np.ones((m, m), dtype=bool), k=-1)
-    tri_hi = np.triu(np.ones((m, m), dtype=bool), k=1)
-    need = np.where(tri_lo, ratio, -np.inf)
-    allow = np.where(tri_hi, ratio, np.inf)
-    p = int(np.argmax(need))
-    q = int(np.argmin(allow))
-    a_lo = float(need.flat[p])
-    a_hi = float(allow.flat[q])
-    pair_lo = (p // m, p % m)
-    pair_hi = (q // m, q % m)
+        ratio = (lo[n] - up[k]) / d
+    need = np.where(d > 0, ratio, -np.inf)
+    allow = np.where(d < 0, ratio, np.inf)
+    p, q = int(np.argmax(need)), int(np.argmin(allow))
+    a_lo, a_hi = float(need[p]), float(allow[q])
+    pair_lo = (int(n[p]), int(k[p]))
+    pair_hi = (int(n[q]), int(k[q]))
     if a_lo > a_hi + tol:
         raise SeparationInfeasibleError(
             (pair_lo, pair_hi),
             f"slope interval empty: need >= {a_lo!r} but <= {a_hi!r}",
         )
     slope = (a_lo + a_hi) / 2.0
+    idx = np.arange(m, dtype=float)
     b_lo = lo - slope * idx
     b_hi = up - slope * idx
     bn = int(np.argmax(b_lo))

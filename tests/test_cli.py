@@ -131,6 +131,18 @@ def test_decompose_convex_peak(runner, peak_csv):
     assert res["eps"] == 2.0
 
 
+def test_decompose_affine_steep_slope(runner, tmp_path):
+    # slopes above 2**19 once stalled a slope search whose bracket could not
+    # shrink below the float spacing
+    path = tmp_path / "steep.csv"
+    path.write_text("0,1e6,2.5e6,3e6\n")
+    result = runner.invoke(main, ["decompose", "--target", "affine", "--no-timing", str(path)])
+    assert result.exit_code == 0
+    res = strict_json(result.stdout)["results"]
+    assert res["line"] == {"slope": 1e6, "intercept": 2.5e5}
+    assert res["bound"] == 2.5e5
+
+
 def test_decompose_plot_data(runner, peak_csv, tmp_path):
     out = tmp_path / "plot.tsv"
     run_json(
@@ -223,6 +235,19 @@ def test_verify_seed_env_fallback(runner, monkeypatch):
         ).output
     )
     assert report["seed"] == 42
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_verify_negative_seed_is_an_input_error(runner, monkeypatch, source):
+    args = ["verify", "--suite", "thm09", "--trials", "3", "--no-timing"]
+    if source == "flag":
+        args += ["--seed", "-100"]
+    else:
+        monkeypatch.setenv("SEQCONVEX_SEED", "-100")
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: seed must be nonnegative, got -100\n"
 
 
 # --- inputs and determinism ----------------------------------------------------------
@@ -338,28 +363,43 @@ GOLDEN_INPUTS = {
     "convex-gap": oracle.GeneratorSpec(98, 20, oracle.Family.RANDOM_UNIFORM),
 }
 
-#: sha256 over the exit codes and ``--no-timing`` reports of every command on
-#: each input; a change to any report byte changes its digest.
+#: sha256 over the exit codes and ``--no-timing`` reports of every command
+#: except ``decompose --target affine`` on each input, and over the ``verify``
+#: report; a change to any of those report bytes changes its digest.
 GOLDEN_DIGESTS = {
-    "uniform": "88e4fe67ebfc977dd979e99ad2c46987a584800263b1df25e641da8179f7dae5",
-    "integer-grid": "9d01b9e919135ea321645606a13c8cf2b40126db01556b2af52894b0f86e007d",
-    "convex-noise": "6fcdf4fb3ad377974078e7e12ea76902c171ed6a5373369220876bf0f4132efe",
-    "convex-gap": "52acfd75964f15186d1bbf3a4062d89fab64cd2bf35daa662f9d89fb38d412be",
+    "uniform": "4a2e9d292ed7003035475ebc52015b53235d88e2e7bcd44ba0c35bf109f11cdb",
+    "integer-grid": "2cfa6f4856485613f66399e3f161b64efa13269ef4a2e20830b7dac0026f2249",
+    "convex-noise": "7fb76bc12043dac0a39fde5b8f20b192c9f293a5f8d7812c5adc422236b69c9a",
+    "convex-gap": "3af53d3835526fd206e4d9cb13e9ffd829b84e4d2c1fb33614b4fa0710b461df",
     "verify": "f508aa0c19430fa072f89cdfb25d675dfe60e9edcfe2d9cad998911cb0b8bbc7",
+}
+
+#: The same over ``decompose --target affine`` alone, pinned apart so that a
+#: change to the line fit shows which reports it moved.
+AFFINE_COMMAND = ["decompose", "--target", "affine"]
+AFFINE_DIGESTS = {
+    "uniform": "474f2e4733ca67f250062bc16c73bccf0dba26bc850cefee3fa3415412ab62f5",
+    "integer-grid": "baa98bf8ed4bdad6eb57ba1dc08a58ba22fc0ec56410fbda52a671a81fa1695a",
+    "convex-noise": "fea784b5d3ebbfbebd3e024b3700c0d44cb9a92dae9923d13ded9aea0f997c8c",
+    "convex-gap": "623351753a33788a60195f5551c7df5ada063d8a6abec7d42d0bbaf09923f8ec",
 }
 
 
 def test_reports_match_golden_digests(runner, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # reports name the input by the path given
-    digests = {}
+    digests, affine = {}, {}
     for name, spec in GOLDEN_INPUTS.items():
         path = f"{name}.json"
         (tmp_path / path).write_text(json.dumps(list(oracle.generate(spec))))
-        h = hashlib.sha256()
+        h, h_affine = hashlib.sha256(), hashlib.sha256()
         for args in DATA_COMMANDS:
             result = runner.invoke(main, args + ["--no-timing", path])
-            h.update(f"{result.exit_code}\n".encode() + result.stdout_bytes)
+            (h_affine if args == AFFINE_COMMAND else h).update(
+                f"{result.exit_code}\n".encode() + result.stdout_bytes
+            )
         digests[name] = h.hexdigest()
+        affine[name] = h_affine.hexdigest()
     verify = runner.invoke(main, ["verify", "--seed", "5", "--trials", "30", "--no-timing"])
     digests["verify"] = hashlib.sha256(verify.stdout_bytes).hexdigest()
+    assert affine == AFFINE_DIGESTS
     assert digests == GOLDEN_DIGESTS

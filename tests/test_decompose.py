@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,49 @@ def test_affine_matches_dense_slope_grid():
         assert d.bound <= best + 1e-6
 
 
+def _brute_affine_bound(arr):
+    """Half the least band width over every pair slope (u_j - u_i) / (j - i)."""
+    ns = np.arange(len(arr))
+    best = np.inf
+    for i in range(len(arr)):
+        for j in range(i + 1, len(arr)):
+            res = arr - (arr[j] - arr[i]) / (j - i) * ns
+            best = min(best, (res.max() - res.min()) / 2)
+    return best
+
+
+def _affine_inputs():
+    rng = np.random.default_rng(41)
+    for t in range(300):
+        m = int(rng.integers(2, 41))
+        family = t % 4
+        if family == 0:
+            yield rng.uniform(-1, 1, m)
+        elif family == 1:
+            yield rng.integers(-2, 3, m).astype(float)
+        elif family == 2:
+            yield np.cumsum(rng.normal(0, 10, m))
+        else:
+            k = int(rng.integers(1, m + 1))
+            yield np.minimum(np.arange(m), 2 * k - np.arange(m)).astype(float)
+
+
+def test_affine_bound_is_the_exact_optimum():
+    # the minimax slope is a hull edge slope, hence one of the pair slopes
+    for arr in _affine_inputs():
+        d = affine_approx(arr)
+        ref = _brute_affine_bound(arr)
+        assert abs(d.bound - ref) <= 1e-12 * max(1.0, np.abs(arr).max())
+
+
+def test_affine_steep_slope_equioscillates():
+    # slopes above 2**19 once stalled a slope search at a fixed bracket width
+    d = affine_approx([0, 1e6, 2.5e6, 3e6])
+    assert d.line == Line(1e6, 2.5e5)
+    assert d.bound == 2.5e5
+    assert list(d.residual) == [-2.5e5, -2.5e5, 2.5e5, -2.5e5]
+
+
 def test_affine_bound_within_min_eps_on_random_data():
     for seed in range(1000):
         u = rand_seq(seed, m_lo=2, m_hi=25)
@@ -273,10 +318,76 @@ def test_separating_line_random_sandwich():
             assert lower[n] - 1e-9 <= line.at(n) <= upper[n] + 1e-9
 
 
+def _reference_separating_line(lower, upper):
+    """Midpoint of the max secant over n > k and the min over n < k, centered."""
+    m = len(lower)
+    a_lo = max((lower[n] - upper[k]) / (n - k) for n in range(m) for k in range(n))
+    a_hi = min((lower[n] - upper[k]) / (n - k) for n in range(m) for k in range(n + 1, m))
+    slope = (a_lo + a_hi) / 2
+    b_lo = max(lower[n] - slope * n for n in range(m))
+    b_hi = min(upper[n] - slope * n for n in range(m))
+    return slope, (b_lo + b_hi) / 2
+
+
+def _sandwiches():
+    rng = np.random.default_rng(37)
+    for t in range(300):
+        m = int(rng.integers(2, 41))
+        slope, icpt = rng.uniform(-2.0, 2.0, 2)
+        base = slope * np.arange(m) + icpt
+        family = t % 3
+        if family == 0:  # random gaps below and above
+            yield base - _random_convex_nonneg(rng, m), base + _random_convex_nonneg(rng, m)
+        elif family == 1:  # zero width
+            yield base, base.copy()
+        else:  # the envelopes touch where the shared gap vanishes
+            gap = np.array(_random_convex_nonneg(rng, m))
+            yield base - rng.uniform(0.1, 2.0) * gap, base + rng.uniform(0.1, 2.0) * gap
+
+
+def test_separating_line_matches_pair_reference():
+    for lower, upper in _sandwiches():
+        line = separating_line(lower, upper)
+        slope, intercept = _reference_separating_line(lower, upper)
+        scale = max(1.0, np.abs(lower).max(), np.abs(upper).max())
+        assert abs(line.slope - slope) <= 1e-12 * scale
+        assert abs(line.intercept - intercept) <= 1e-12 * scale
+
+
+def test_separating_line_peak_memory_is_linear():
+    m = 2000
+    n = np.arange(m, dtype=float)
+    lower, upper = -((n - m / 2) ** 2) / m, (n - m / 2) ** 2 / m + 1.0
+    separating_line(lower, upper)  # warm caches and lazy imports
+    tracemalloc.start()
+    try:
+        separating_line(lower, upper)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_separating_line_empty_slope_interval_names_pairs():
+    # a crossing within tol passes the pointwise check; the secants conflict
+    with pytest.raises(SeparationInfeasibleError, match="slope interval empty") as err:
+        separating_line([0.4, 0.4], [0.0, 0.0], tol=0.5)
+    assert err.value.pairs == ((1, 0), (0, 1))
+
+
 def test_separating_line_crossing_envelopes_rejected():
     with pytest.raises(SeparationInfeasibleError) as err:
         separating_line([1.0, 1.0], [0.0, 0.0])
     assert err.value.pairs
+
+
+def test_separating_line_crossing_sandwiches_name_the_crossing():
+    for lower, upper in _sandwiches():
+        lower = lower + (upper - lower).min() + 0.5
+        worst = int(np.argmax(lower - upper))
+        with pytest.raises(SeparationInfeasibleError, match="cross") as err:
+            separating_line(lower, upper)
+        assert err.value.pairs == ((worst, worst),)
 
 
 def test_separating_line_shape_validation():
