@@ -4,8 +4,10 @@ Four classes are recognized: convex, eps-convex, eps-affine and Wright
 convex.  Each check returns a :class:`Verdict`; a failed check carries a
 :class:`Certificate` naming the indices at which the defining inequality is
 violated, together with the signed slack there (negative slack = violation).
-The exact minimal eps for the two approximate classes is computed in closed
-form from the first differences.
+The eps-convex and eps-affine checks and their exact minimal eps all read
+one worst-pair kernel over the first differences: in EXISTS mode it is an
+O(m) suffix-minimum scan, in FORALL mode it still enumerates all O(m^2)
+pairs.
 
 Index conventions match the difference sequence: a certificate pair (i, j)
 with 1 <= i < j <= m - 1 refers to the differences u[i] - u[i-1] and
@@ -16,7 +18,7 @@ same container with (i, j, n) = (p, s, q) and r = p + s - q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,23 +63,41 @@ class Verdict:
     certificate: Certificate | None = None
 
 
-def _worst_pair_margin(
-    d: np.ndarray, eps: float, mode: QuantifierMode, two_sided: bool
+def _suffix_scan(d: np.ndarray, shift: float) -> tuple[float, int, int, int]:
+    """Least (d[j] - d[i]) + shift over i < j and its first pair, in O(m).
+
+    Rounding is monotone, so row i attains its minimum at the suffix minimum
+    of d[i+1:], and ``np.argmin`` keeps the first index of a tie.
+    """
+    suffix = np.minimum.accumulate(d[:0:-1])[::-1]
+    rise = (suffix - d[:-1]) + shift
+    i = int(np.argmin(rise))
+    j = i + 1 + int(np.argmin((d[i + 1 :] - d[i]) + shift))
+    return float(rise[i]), i + 1, j + 1, i + 2
+
+
+def _worst_pair(
+    u, eps: float | None, mode: QuantifierMode, two_sided: bool
 ) -> tuple[float, int, int, int]:
-    """Minimum slack of the eps-inequality over all difference pairs i < j."""
+    """Worst pair of the eps-inequality, as certificate indices (value, i, j, n).
+
+    With ``eps`` given the value is the least slack (d[j] - d[i]) + eps/(n - i);
+    with ``eps`` None it is the least weighted rise (d[j] - d[i])*(n - i), the
+    negated minimal eps.  Two-sided (affine) checks take the lesser rise of d, -d.
+    Ties go to the lexicographically first (i, j).  EXISTS (n = i + 1) scans
+    suffix minima; FORALL (n = j) enumerates every pair.
+    """
+    d = deltas(u)
+    if mode is QuantifierMode.EXISTS:
+        shift = 0.0 if eps is None else eps
+        return min(_suffix_scan(s, shift) for s in ((d, -d) if two_sided else (d,)))
     ii, jj = np.triu_indices(len(d), k=1)
-    if mode is QuantifierMode.FORALL:
-        slack = eps / (jj - ii)
-    else:
-        slack = np.full(len(ii), eps)
+    rise = d[jj] - d[ii]
     if two_sided:
-        margins = slack - np.abs(d[ii] - d[jj])
-    else:
-        margins = (d[jj] - d[ii]) + slack
-    t = int(np.argmin(margins))
-    i, j = int(ii[t]) + 1, int(jj[t]) + 1
-    n = i + 1 if mode is QuantifierMode.EXISTS else j
-    return float(margins[t]), i, j, n
+        rise = -np.abs(rise)
+    worst = rise * (jj - ii) if eps is None else rise + eps / (jj - ii)
+    t = int(np.argmin(worst))
+    return float(worst[t]), int(ii[t]) + 1, int(jj[t]) + 1, int(jj[t]) + 1
 
 
 def is_convex(u, *, tol: float = DEFAULT_TOL) -> Verdict:
@@ -100,6 +120,29 @@ def is_convex(u, *, tol: float = DEFAULT_TOL) -> Verdict:
     return Verdict(False, cert)
 
 
+def _eps_verdict(u, eps, mode: QuantifierMode, tol: float, check: str) -> Verdict:
+    u = as_sequence(u)
+    eps = check_eps(eps)
+    if len(u) < 3:
+        return Verdict(True)
+    worst, i, j, n = _worst_pair(u, eps, mode, two_sided=check == "eps_affine")
+    if worst >= -tol:
+        return Verdict(True)
+    return Verdict(False, Certificate(VIOLATION, check, i, j, n, worst))
+
+
+def _min_eps(u, mode: QuantifierMode, check: str) -> tuple[float, Certificate | None]:
+    u = as_sequence(u)
+    if len(u) < 3:
+        return 0.0, None
+    value, i, j, n = _worst_pair(u, None, mode, two_sided=check == "eps_affine")
+    eps_min = -value
+    if eps_min <= 0.0:
+        return 0.0, None
+    witness = Certificate(WITNESS, check, i, j, n, margin=math.nan)
+    return eps_min, replace(witness, margin=replay_margin(u, witness, eps=eps_min))
+
+
 def is_eps_convex(
     u,
     eps: float,
@@ -114,14 +157,7 @@ def is_eps_convex(
     which reduces to n = j.  Sequences with fewer than three entries have no
     pair to test and hold vacuously.
     """
-    u = as_sequence(u)
-    eps = check_eps(eps)
-    if len(u) < 3:
-        return Verdict(True)
-    worst, i, j, n = _worst_pair_margin(deltas(u), eps, mode, two_sided=False)
-    if worst >= -tol:
-        return Verdict(True)
-    return Verdict(False, Certificate(VIOLATION, "eps_convex", i, j, n, worst))
+    return _eps_verdict(u, eps, mode, tol, "eps_convex")
 
 
 def is_eps_affine(
@@ -135,14 +171,7 @@ def is_eps_affine(
 
     Equivalent to both the sequence and its negation being eps-convex.
     """
-    u = as_sequence(u)
-    eps = check_eps(eps)
-    if len(u) < 3:
-        return Verdict(True)
-    worst, i, j, n = _worst_pair_margin(deltas(u), eps, mode, two_sided=True)
-    if worst >= -tol:
-        return Verdict(True)
-    return Verdict(False, Certificate(VIOLATION, "eps_affine", i, j, n, worst))
+    return _eps_verdict(u, eps, mode, tol, "eps_affine")
 
 
 def min_eps_convex(
@@ -157,22 +186,7 @@ def min_eps_convex(
     attaining pair and its residual slack at the returned eps (which is zero
     up to rounding).
     """
-    u = as_sequence(u)
-    if len(u) < 3:
-        return 0.0, None
-    d = deltas(u)
-    ii, jj = np.triu_indices(len(d), k=1)
-    excess = d[ii] - d[jj]
-    if mode is QuantifierMode.FORALL:
-        excess = excess * (jj - ii)
-    t = int(np.argmax(excess))
-    eps_min = float(excess[t])
-    if eps_min <= 0.0:
-        return 0.0, None
-    i, j = int(ii[t]) + 1, int(jj[t]) + 1
-    n = i + 1 if mode is QuantifierMode.EXISTS else j
-    margin = float(d[jj[t]] - d[ii[t]] + eps_min / (n - i))
-    return eps_min, Certificate(WITNESS, "eps_convex", i, j, n, margin)
+    return _min_eps(u, mode, "eps_convex")
 
 
 def min_eps_affine(
@@ -184,22 +198,7 @@ def min_eps_affine(
     gap in place of its positive part; equals
     max(min_eps_convex(u), min_eps_convex(-u)) in either mode.
     """
-    u = as_sequence(u)
-    if len(u) < 3:
-        return 0.0, None
-    d = deltas(u)
-    ii, jj = np.triu_indices(len(d), k=1)
-    spread = np.abs(d[ii] - d[jj])
-    if mode is QuantifierMode.FORALL:
-        spread = spread * (jj - ii)
-    t = int(np.argmax(spread))
-    eps_min = float(spread[t])
-    if eps_min <= 0.0:
-        return 0.0, None
-    i, j = int(ii[t]) + 1, int(jj[t]) + 1
-    n = i + 1 if mode is QuantifierMode.EXISTS else j
-    margin = float(eps_min / (n - i) - abs(float(d[ii[t]] - d[jj[t]])))
-    return eps_min, Certificate(WITNESS, "eps_affine", i, j, n, margin)
+    return _min_eps(u, mode, "eps_affine")
 
 
 def is_wright_convex(u, *, tol: float = DEFAULT_TOL) -> Verdict:

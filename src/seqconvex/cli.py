@@ -125,6 +125,9 @@ def load_sequence(path: str) -> tuple[Sequence, dict]:
         data = json.loads(text)
         if not isinstance(data, list):
             raise ValidationError("JSON input must be a flat array of numbers")
+        for k, v in enumerate(data):
+            if isinstance(v, (bool, str)):
+                raise ValidationError(f"entry {k} is not a real number: {json.dumps(v)}")
         values = data
     else:
         tokens: list[str] = []
@@ -403,7 +406,7 @@ def _load_or_exit(path: str) -> tuple[Sequence, dict]:
         return load_sequence(path)
     except (OSError, UnicodeDecodeError) as exc:
         _fail_input(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep to parse
         _fail_input(f"malformed JSON in {path}: {exc}")
     except ValidationError as exc:
         _fail_input(f"bad input in {path}: {exc}")

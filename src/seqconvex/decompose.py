@@ -69,9 +69,6 @@ class Line:
     def at(self, x: float) -> float:
         return self.slope * x + self.intercept
 
-    def sample(self, m: int) -> Sequence:
-        return Sequence(self.slope * np.arange(m) + self.intercept)
-
 
 @dataclass(frozen=True)
 class Decomposition:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from seqconvex import (
     QuantifierMode,
     Sequence,
     ValidationError,
+    affine_approx,
+    deltas,
     is_convex,
     is_eps_affine,
     is_eps_convex,
@@ -17,6 +20,7 @@ from seqconvex import (
     min_eps_convex,
     replay_margin,
 )
+from seqconvex.classify import _worst_pair
 
 E = QuantifierMode.EXISTS
 F = QuantifierMode.FORALL
@@ -166,7 +170,86 @@ def test_min_eps_affine_equals_max_over_signs():
         mode = E if rng.integers(2) else F
         value, _ = min_eps_affine(u, mode)
         expected = max(min_eps_convex(u, mode)[0], min_eps_convex(-u, mode)[0])
-        assert value == pytest.approx(expected, abs=1e-12)
+        assert value == expected
+
+
+# --- the worst-pair kernel ---------------------------------------------
+
+
+def pair_reference(u, eps, mode, two_sided):
+    """Plain double loop over i < j: the worst value and its first (i, j, n)."""
+    d = deltas(u)
+    best = None
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            k = 1 if mode is E else j - i
+            rise = float(d[j]) - float(d[i])
+            if two_sided:
+                rise = -abs(rise)
+            value = rise * k if eps is None else rise + eps / k
+            if best is None or value < best[0]:
+                best = (value, i + 1, j + 1, i + 1 + k)
+    return best
+
+
+def kernel_inputs():
+    rng = np.random.default_rng(2024)
+    for t in range(100):
+        m = int(rng.integers(3, 41))
+        n = np.arange(m)
+        yield [
+            rng.integers(-2, 3, m).astype(float),  # integer grid: many ties
+            np.minimum(n, 2 * int(rng.integers(1, m)) - n).astype(float),  # tent
+            np.cumsum(rng.normal(size=m)),  # random walk
+            rng.uniform(-1, 1, m),
+        ][t % 4]
+
+
+@pytest.mark.parametrize("mode", [E, F])
+def test_worst_pair_matches_double_loop(mode):
+    for x in kernel_inputs():
+        u = Sequence(x)
+        for two_sided, check in ((False, "eps_convex"), (True, "eps_affine")):
+            is_eps = is_eps_affine if two_sided else is_eps_convex
+            min_eps = min_eps_affine if two_sided else min_eps_convex
+            for eps in (None, 0.0, 0.5, 2.0):
+                ref = pair_reference(u, eps, mode, two_sided)
+                assert _worst_pair(u, eps, mode, two_sided) == ref
+                if eps is None:
+                    value, witness = min_eps(u, mode)
+                    if ref[0] >= 0.0:
+                        assert (value, witness) == (0.0, None)
+                        continue
+                    assert value == -ref[0]
+                    assert (witness.check, witness.i, witness.j, witness.n) == (check, *ref[1:])
+                    assert witness.margin == replay_margin(u, witness, eps=value)
+                else:
+                    verdict = is_eps(u, eps, mode, tol=0.0)
+                    assert verdict.holds == (ref[0] >= 0.0)
+                    if not verdict.holds:
+                        c = verdict.certificate
+                        assert (c.margin, c.i, c.j, c.n) == ref
+
+
+def test_exists_kernels_use_linear_memory():
+    m = 4_000
+    u = Sequence(np.cumsum(np.random.default_rng(5).normal(size=m)))
+    calls = (
+        lambda: is_eps_convex(u, 0.5, E),
+        lambda: is_eps_affine(u, 0.5, E),
+        lambda: min_eps_convex(u, E),
+        lambda: min_eps_affine(u, E),
+        lambda: affine_approx(u),
+    )
+    for call in calls:
+        call()  # warm caches and lazy imports
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 # --- Wright convexity ---------------------------------------------------

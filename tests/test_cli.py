@@ -3,6 +3,8 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqconvex import Certificate, oracle, replay_margin
 from seqconvex.cli import main, render_json
@@ -289,6 +291,29 @@ def test_nan_entry_exits_two(runner, tmp_path):
     assert "not finite" in result.output
 
 
+@pytest.mark.parametrize(
+    "text, entry", [("[true, 2, 3]", "entry 0 is not a real number: true"),
+                    ('[1, 2, "3"]', 'entry 2 is not a real number: "3"')]
+)
+def test_json_bool_and_string_entries_exit_two(runner, tmp_path, text, entry):
+    path = tmp_path / "mixed.json"
+    path.write_text(text)
+    result = runner.invoke(main, ["eps-min", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: bad input in {path}: {entry}\n"
+
+
+def test_deeply_nested_json_exits_two(runner, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    result = runner.invoke(main, ["eps-min", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: malformed JSON in {path}: ")
+    assert "Traceback" not in result.output
+
+
 def test_unknown_flag_exits_two(runner, peak_csv):
     result = runner.invoke(main, ["classify", "--bogus", peak_csv])
     assert result.exit_code == 2
@@ -344,6 +369,47 @@ def test_overflowing_input_gives_strict_json_or_error(runner, tmp_path, values, 
         strict_json(result.stdout)
     if result.exit_code == 2:
         assert result.stdout == "" and result.stderr.startswith("error: ")
+
+
+numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1.7e308, max_value=1.7e308).filter(lambda x: abs(x) > 1e300),
+    st.integers(min_value=-(10**6), max_value=10**6),
+)
+odd_entries = st.recursive(
+    st.one_of(
+        st.floats(),
+        st.integers(min_value=10**300, max_value=10**400),
+        st.booleans(),
+        st.text(st.characters(exclude_categories=["Cs"]), max_size=5),
+    ),
+    lambda children: st.lists(children, max_size=3),
+    max_leaves=4,
+)
+#: Mostly numeric inputs, so that the commands run past the loader.
+fuzz_values = st.one_of(
+    st.lists(numbers, max_size=10),
+    st.lists(st.one_of(numbers, odd_entries), max_size=8),
+)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(values=fuzz_values, as_json=st.booleans(), sep=st.sampled_from([",", "\n"]))
+def test_cli_fuzz_exit_codes_and_strict_json(tmp_path_factory, values, as_json, sep):
+    path = tmp_path_factory.getbasetemp() / ("fuzz.json" if as_json else "fuzz.csv")
+    path.write_text(json.dumps(values) if as_json else sep.join(map(str, values)))
+    runner = CliRunner()
+    for args in DATA_COMMANDS:
+        result = runner.invoke(main, args + ["--no-timing", str(path)])
+        assert result.exit_code in (0, 1, 2)
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        if result.stdout:
+            strict_json(result.stdout)
+        if result.exit_code == 2:
+            assert result.stdout == "" and result.stderr.startswith("error: ")
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
