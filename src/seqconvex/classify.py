@@ -7,7 +7,8 @@ violated, together with the signed slack there (negative slack = violation).
 The eps-convex and eps-affine checks and their exact minimal eps all read
 one worst-pair kernel over the first differences: in EXISTS mode it is an
 O(m) suffix-minimum scan, in FORALL mode it still enumerates all O(m^2)
-pairs.
+pairs.  The Wright check is exact in O(m^2) time: a prefix minimum of pair
+sums along each anti-diagonal, held in blocks of bounded size.
 
 Index conventions match the difference sequence: a certificate pair (i, j)
 with 1 <= i < j <= m - 1 refers to the differences u[i] - u[i-1] and
@@ -201,33 +202,147 @@ def min_eps_affine(
     return _min_eps(u, mode, "eps_affine")
 
 
+#: Cells (anti-diagonal x inner index) the Wright kernel holds per block.
+_WRIGHT_BLOCK = 1 << 14
+
+#: +-inf padding on both sides of the Wright kernel's input, wider than any block.
+_WRIGHT_PAD = np.full(math.isqrt(2 * _WRIGHT_BLOCK) + 2, np.inf)
+_WRIGHT_NEG_PAD = -_WRIGHT_PAD
+
+
+def _wright_blocks(m: int):
+    """Runs [s0, s1) of anti-diagonals sigma = p + s, each with its row count.
+
+    Anti-diagonal sigma has n(sigma) = sigma // 2 - max(0, sigma - m + 1)
+    inner indices q, most at sigma = m - 1; a block has as many rows as its
+    largest n.  That is at most n(s0) + w/2 for a block of width w starting
+    at s0, so w solves w*(n(s0) + w/2) = _WRIGHT_BLOCK.
+    """
+    s0, end = 2, 2 * m - 3
+    while s0 < end:
+        n0 = s0 // 2 - max(0, s0 - m + 1)
+        s1 = min(end, s0 + max(1, math.isqrt(n0 * n0 + 2 * _WRIGHT_BLOCK) - n0))
+        peak = min(max(m - 1, s0), s1 - 1)  # where n is largest in [s0, s1)
+        yield s0, s1, peak // 2 - max(0, peak - m + 1)
+        s0 = s1
+
+
+def _check_pair_sums(v: np.ndarray) -> bool:
+    """Raise unless every pair sum v[p] + v[s] (s >= p + 2) is finite.
+
+    Returns whether every margin is finite as well, which holds when 4 max|v|
+    is: a margin adds four entries.
+    """
+    big = float(np.abs(v).max())
+    if math.isfinite(4.0 * big):
+        return True
+    if math.isfinite(2.0 * big):
+        return False  # every pair sum is finite, a margin may not be
+    with np.errstate(over="ignore"):
+        for p in range(len(v) - 2):
+            bad = np.flatnonzero(np.isinf(v[p] + v[p + 2 :]))
+            if bad.size:
+                s = p + 2 + int(bad[0])
+                a, b = float(v[p]), float(v[s])
+                raise ValidationError(f"entries {p} and {s} overflow when added: {a!r} + {b!r}")
+    return False
+
+
+def _first_attaining(B: np.ndarray, j, t, vq, vr, c: float) -> np.ndarray:
+    """First row k with (B[k, j[i]] - vq[i]) - vr[i] <= c, for every i.
+
+    Up to row t[i] the left side is +inf or the margin of a real triple, so
+    never below c; B does not increase down a column, so the predicate is
+    monotone in k and holds from row t[i] on.  A vectorised bisection finds the first such row
+    in O(log rows) steps per cell, so ties cost no O(m) scan per cell.
+    """
+    flat, width = B.ravel(), B.shape[1]
+    k, n = j, int(t.max()) + 1  # the first row lies in [k // width, k // width + n)
+    while n > 1:
+        half = n >> 1
+        ok = (flat[k + (half - 1) * width] - vq) - vr <= c
+        k = np.where(ok, k, k + half * width)
+        n -= half
+    return k // width
+
+
+def _wright_worst(v: np.ndarray) -> tuple[float, int, int, int] | None:
+    """Least margin ((v[p] + v[s]) - v[q]) - v[r] and its first (p, q, s).
+
+    On one anti-diagonal sigma = p + s = q + r the margin is nondecreasing in
+    b = v[p] + v[s], because rounding is monotone, so the least margin over
+    p < q is the one at B[q - 1], the prefix minimum of b: the minimum over
+    all triples costs O(m^2).  A block holds anti-diagonals as columns whose
+    rows end at q = sigma // 2; rows with no valid p read the +inf padding.
+    Ties go to the lexicographically first (p, s, q): the first p attaining
+    the minimum c on a cell (sigma, q) is the first row with margin(B) == c,
+    and B drops there, so that p attains c by itself.  Blocks run in
+    increasing sigma, so a later block wins a tie only with a smaller p.
+    Returns None when every margin is +inf.
+    """
+    m, f = len(v), len(_WRIGHT_PAD)
+    ext = np.concatenate((_WRIGHT_PAD, v, _WRIGHT_PAD))  # ext[f + k] = v[k]
+    neg = np.concatenate((_WRIGHT_NEG_PAD, [-np.inf], v, _WRIGHT_NEG_PAD))  # neg[f + 1 + k]
+    best, at = math.inf, None
+    for s0, s1, rows in _wright_blocks(m):
+        sigma = np.arange(s0, s1)
+        first = (sigma >> 1) - rows  # p on row 0 of each column
+        ip = (f + first) + np.arange(rows)[:, None]  # f + p
+        is_ = (2 * f + sigma) - ip  # f + s
+        B = np.minimum.accumulate(ext[ip] + ext[is_], axis=0)
+        margin = (B - neg[2:][ip]) - neg[is_]  # (B - v[p + 1]) - v[s - 1]
+        c = float(margin.min())
+        if c == math.inf or c > best:
+            continue
+        t, j = np.nonzero(margin == c)
+        p0, sj = first[j], sigma[j]
+        q = p0 + t + 1
+        p = p0 + _first_attaining(B, j, t, v[q], v[sj - q], c)
+        if c == best:  # a tie with an earlier block wins only with a smaller p
+            win = p < at[0]
+            if not win.any():
+                continue
+            p, q, sj = p[win], q[win], sj[win]
+        s = sj - p
+        w = np.lexsort((q, s, p))[0]
+        best, at = c, (int(p[w]), int(q[w]), int(s[w]))
+    if at is None:
+        return None
+    p, q, s = at
+    x = v.item  # the margin once more in the loop's order, so a zero keeps its sign
+    return (x(p) + x(s) - x(q)) - x(p + s - q), p, q, s
+
+
 def is_wright_convex(u, *, tol: float = DEFAULT_TOL) -> Verdict:
     """Check u[q] + u[r] <= u[p] + u[s] + tol whenever p < q <= r < s, q+r = p+s.
 
-    Direct enumeration: for each outer pair (p, s) the inner index q runs up
-    to the midpoint and r = p + s - q is forced.  Sequences shorter than four
-    entries defer to :func:`is_convex`.
+    The least margin ((u[p] + u[s]) - u[q]) - u[r] over all such quadruples,
+    with ties to the lexicographically first (p, s, q), comes from an exact
+    O(m^2)-time kernel over anti-diagonals p + s that holds a bounded block of
+    them at a time.  Sequences shorter than four entries defer to
+    :func:`is_convex`.
+
+    Raises:
+        ValidationError: if some pair sum u[p] + u[s] overflows, or the
+            least margin overflows to -inf.
     """
     u = as_sequence(u)
     m = len(u)
     if m < 4:
         return is_convex(u, tol=tol)
-    v = u.values
-    worst = math.inf
-    at = (0, 0, 0)
-    for p in range(m - 2):
-        vp = v[p]
-        for s in range(p + 2, m):
-            base = vp + v[s]
-            for q in range(p + 1, (p + s) // 2 + 1):
-                margin = base - v[q] - v[p + s - q]
-                if margin < worst:
-                    worst = margin
-                    at = (p, q, s)
-    if worst >= -tol:
+    v = u.as_array()
+    if _check_pair_sums(v):
+        worst = _wright_worst(v)
+    else:
+        with np.errstate(over="ignore"):
+            worst = _wright_worst(v)
+        if worst is not None and worst[0] == -math.inf:
+            _, p, q, s = worst
+            raise ValidationError(f"Wright margin at p={p}, q={q}, s={s} overflows")
+    if worst is None or worst[0] >= -tol:
         return Verdict(True)
-    p, q, s = at
-    cert = Certificate(VIOLATION, "wright", i=p, j=s, n=q, margin=worst)
+    margin, p, q, s = worst
+    cert = Certificate(VIOLATION, "wright", i=p, j=s, n=q, margin=margin)
     return Verdict(False, cert)
 
 
@@ -241,7 +356,7 @@ def replay_margin(u, cert: Certificate, *, eps: float = 0.0) -> float:
     u = as_sequence(u)
     if cert.check == "wright":
         r = cert.i + cert.j - cert.n
-        return (u[cert.i] + u[cert.j]) - (u[cert.n] + u[r])
+        return ((u[cert.i] + u[cert.j]) - u[cert.n]) - u[r]
     d = deltas(u)
     di, dj = float(d[cert.i - 1]), float(d[cert.j - 1])
     if cert.check == "convex":

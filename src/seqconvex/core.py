@@ -136,12 +136,18 @@ def deltas(u: Sequence | Iterable[float]) -> np.ndarray:
 
     Raises:
         TooShortError: if ``u`` has fewer than two entries.
+        ValidationError: if a difference overflows, naming its first entry.
     """
     u = as_sequence(u)
     if len(u) < 2:
         raise TooShortError("sequence too short for differences")
     v = u.as_array()
-    return v[1:] - v[:-1]  # what np.diff computes, without its per-call overhead
+    d = v[1:] - v[:-1]  # what np.diff computes, without its per-call overhead
+    if np.isinf(d).any():  # entries are finite, so their differences are never NaN
+        k = int(np.argmax(np.isinf(d))) + 1
+        a, b = v[k - 1 : k + 1].tolist()
+        raise ValidationError(f"difference at entry {k} overflows: {b!r} - {a!r}")
+    return d
 
 
 def check_eps(eps: float) -> float:

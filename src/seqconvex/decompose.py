@@ -145,10 +145,9 @@ def _gap_pieces(lo: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, ...]:
     return a, gap, n, k
 
 
-def _split(u: Sequence, structured: np.ndarray) -> tuple[Sequence, Sequence, float]:
-    """The structured part, the residual u - structured and its uniform norm."""
-    residual = u.as_array() - structured
-    return Sequence(structured), Sequence(residual), float(np.abs(residual).max())
+def _split(u: Sequence, structured: np.ndarray) -> tuple[Sequence, Sequence]:
+    """The structured part and the residual u - structured."""
+    return Sequence(structured), Sequence(u.as_array() - structured)
 
 
 def convex_approx_hyers(
@@ -172,7 +171,8 @@ def convex_approx_hyers(
     worst = int(np.argmax(gaps))
     if gaps[worst] > eps + tol:
         raise ConvexGapError(worst, float(gaps[worst]), eps, mode)
-    structured, residual, bound = _split(u, base + eps / 2.0)
+    structured, residual = _split(u, base + eps / 2.0)
+    bound = float(np.abs(residual.as_array()).max())
     return Decomposition(structured, residual, bound, eps=eps, slack=eps / 2.0 - bound)
 
 
@@ -187,7 +187,7 @@ def convex_approx_optimal(u) -> Decomposition:
     u = as_sequence(u)
     base = gcm(u).as_array()
     t = float((u.as_array() - base).max()) / 2.0
-    structured, residual, _ = _split(u, base + t)
+    structured, residual = _split(u, base + t)
     return Decomposition(structured, residual, t)
 
 
@@ -215,7 +215,8 @@ def affine_approx(u) -> Decomposition:
     res = arr - fit
     intercept = (float(res.max()) + float(res.min())) / 2.0
     line = Line(s, intercept)
-    structured, residual, bound = _split(u, fit + intercept)
+    structured, residual = _split(u, fit + intercept)
+    bound = float(np.abs(residual.as_array()).max())
     eps, _ = min_eps_affine(u, QuantifierMode.EXISTS)
     return Decomposition(structured, residual, bound, eps=eps, slack=eps - bound, line=line)
 

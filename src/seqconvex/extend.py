@@ -182,6 +182,7 @@ def check_chord_slope_bounds(
 
     Raises:
         DomainError: if the span leaves [0, m-1] or y - x is degenerate.
+        ValidationError: if any knot slope of ``f`` overflows, in the span or not.
     """
     eps = check_eps(eps)
     x, y = float(x), float(y)

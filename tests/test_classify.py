@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,8 @@ from seqconvex import (
     min_eps_convex,
     replay_margin,
 )
-from seqconvex.classify import _worst_pair
+from seqconvex import classify
+from seqconvex.classify import _worst_pair, _wright_worst
 
 E = QuantifierMode.EXISTS
 F = QuantifierMode.FORALL
@@ -269,6 +271,86 @@ def test_wright_alternating_fails():
     assert cert.n + r == cert.i + cert.j
 
 
+def wright_reference(values):
+    """The plain triple loop: (margin, p, q, s) of the least margin, first in
+    loop order (p, then s, then q)."""
+    v = [float(x) for x in values]
+    worst, at = math.inf, None
+    for p in range(len(v) - 2):
+        for s in range(p + 2, len(v)):
+            base = v[p] + v[s]
+            for q in range(p + 1, (p + s) // 2 + 1):
+                margin = base - v[q] - v[p + s - q]
+                if margin < worst:
+                    worst, at = margin, (p, q, s)
+    return None if at is None else (worst, *at)
+
+
+def wright_inputs():
+    """Tie-heavy and rounding-heavy families, m <= 60."""
+    rng = np.random.default_rng(2026)
+    for t in range(240):
+        m = int(rng.integers(4, 61))
+        n = np.arange(m, dtype=float)
+        yield [
+            rng.integers(-2, 3, m).astype(float),  # integer grid
+            n % 2,  # alternating 0/1
+            rng.integers(-10, 11, m) * 0.1,  # 0.1-grid
+            rng.integers(-8, 9, m) * 0.25,  # quarter-grid
+            np.resize([0.1, 0.7, 0.3], m),
+            rng.uniform(-1, 1, m) * 1e6,
+            -0.45e-9 * n**2,  # inside the tolerance band of convexity
+            np.cumsum(rng.normal(size=m)),  # random walk
+        ][t % 8]
+
+
+@pytest.mark.parametrize("block", [8, classify._WRIGHT_BLOCK], ids=["tiny-blocks", "default"])
+def test_wright_kernel_matches_triple_loop(monkeypatch, block):
+    # tiny blocks carry the running minimum across many blocks and bisect
+    monkeypatch.setattr(classify, "_WRIGHT_BLOCK", block)
+    for x in wright_inputs():
+        ref = wright_reference(x)
+        assert _wright_worst(np.asarray(x)) == ref
+        verdict = is_wright_convex(x, tol=0.0)
+        assert verdict.holds == (ref[0] >= 0.0)
+        if not verdict.holds:
+            c = verdict.certificate
+            assert (c.margin, c.i, c.n, c.j) == ref
+
+
+def test_wright_kernel_uses_bounded_memory():
+    m = 2_000
+    rng = np.random.default_rng(6)
+    for x in (
+        np.cumsum(rng.normal(size=m)),
+        rng.integers(-2, 3, m).astype(float),
+        np.arange(m) % 2.0,
+    ):
+        u = Sequence(x)
+        is_wright_convex(u)  # warm caches and lazy imports
+        tracemalloc.start()
+        try:
+            is_wright_convex(u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+def test_wright_pair_sum_overflow_is_an_input_error():
+    # the pair sums overflow to +inf, which would let the check hold although
+    # u[1] + u[1] > u[0] + u[2]
+    with pytest.raises(ValidationError, match="entries 0 and 2 overflow"):
+        is_wright_convex([1.7e308, 1.7e308, 1.6e308, 1.7e308])
+    # every pair sum is finite, but the margin at p = 0, q = 1, s = 2 overflows
+    with pytest.raises(ValidationError, match="margin at p=0, q=1, s=2 overflows"):
+        is_wright_convex([0.0, 1.2e308, 0.0, 0.0])
+    # only the neighbours 0 and 1 overflow, and no Wright margin adds them
+    x = [1.7e308, 1.7e308, 0.0, 0.0]
+    c = is_wright_convex(x).certificate
+    assert (c.margin, c.i, c.n, c.j) == wright_reference(x) == (-1.7e308, 0, 1, 2)
+
+
 def test_wright_matches_convex_exhaustively():
     # every integer sequence of length 4..7 over {-2,...,2}
     for m in range(4, 8):
@@ -336,6 +418,8 @@ def test_certificate_replay_soundness():
                 continue
             again = replay_margin(u, verdict.certificate, **kwargs)
             assert again == pytest.approx(verdict.certificate.margin, abs=1e-12)
+            if verdict.certificate.check == "wright":
+                assert again == verdict.certificate.margin
             assert verdict.certificate.margin < -1e-9  # violations only
             replayed += 1
     assert replayed > 100

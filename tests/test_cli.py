@@ -371,6 +371,23 @@ def test_overflowing_input_gives_strict_json_or_error(runner, tmp_path, values, 
         assert result.stdout == "" and result.stderr.startswith("error: ")
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "command, values, message",
+    [
+        ("classify", "1.7e308,1.7e308,1.6e308,1.7e308", "error: entries 0 and 2 overflow when added"),
+        ("classify", "0,1.7e308,-1.7e308,0", "error: difference at entry 2 overflows"),
+        ("eps-min", "0,1.7e308,-1.7e308,0", "error: difference at entry 2 overflows"),
+    ],
+)
+def test_overflowing_pair_sum_or_difference_exits_two(runner, tmp_path, command, values, message):
+    path = tmp_path / "huge.csv"
+    path.write_text(values + "\n")
+    result = runner.invoke(main, [command, "--no-timing", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == "" and result.stderr.startswith(message)
+
+
 numbers = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.floats(min_value=-1.7e308, max_value=1.7e308).filter(lambda x: abs(x) > 1e300),

@@ -33,6 +33,13 @@ def test_deltas_too_short():
         deltas([3.0])
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_deltas_overflow_names_the_entry():
+    with pytest.raises(ValidationError, match="difference at entry 2 overflows"):
+        deltas([0, 1.7e308, -1.7e308, 0])
+    assert list(deltas([1.7e308, 0.0, -1.7e308])) == [-1.7e308, -1.7e308]
+
+
 @given(value_lists)
 def test_deltas_reconstruction(values):
     u = Sequence(values)

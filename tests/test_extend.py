@@ -9,6 +9,7 @@ from seqconvex import (
     QuantifierMode,
     SamplePlan,
     Sequence,
+    ValidationError,
     check_chord_slope_bounds,
     check_eps_convex_function,
     mediant_bounds,
@@ -208,6 +209,16 @@ def test_chord_bounds_random_spans_hold_with_any_slack():
             continue
         eps = float(rng.uniform(0, 2))
         assert check_chord_slope_bounds(f, eps, x, y).holds
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_chord_bounds_reject_any_overflowing_knot_slope():
+    # as everywhere in the package, differences that overflow are an input
+    # error, also when the span stops short of them
+    f = PiecewiseLinear([0, 1, 4, 1.7e308, -1.7e308])
+    for x, y in [(0.5, 2.0), (2.5, 3.5)]:
+        with pytest.raises(ValidationError, match="difference at entry 4 overflows"):
+            check_chord_slope_bounds(f, 0.5, x, y)
 
 
 def test_chord_bounds_errors():
