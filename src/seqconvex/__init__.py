@@ -9,6 +9,7 @@ The public surface mirrors the module layout:
 * :mod:`seqconvex.decompose` -- convex minorant, convex/arithmetic approximants,
   separating line
 * :mod:`seqconvex.oracle` -- brute-force references and seeded generators
+* :mod:`seqconvex.verify` -- seeded property suites for the paper's results
 * :mod:`seqconvex.cli` -- the ``seqconvex`` command-line tool
 """
 

@@ -30,6 +30,7 @@ from .core import (
     as_sequence,
     check_eps,
     deltas,
+    overflow_guard,
 )
 
 WITNESS = "witness"
@@ -77,8 +78,14 @@ def _suffix_scan(d: np.ndarray, shift: float) -> tuple[float, int, int, int]:
     return float(rise[i]), i + 1, j + 1, i + 2
 
 
+def _finite(value: float, i: int, j: int, n: int) -> tuple[float, int, int, int]:
+    if not math.isfinite(value):
+        raise ValidationError(f"differences at entries {i} and {j} overflow when compared")
+    return value, i, j, n
+
+
 def _worst_pair(
-    u, eps: float | None, mode: QuantifierMode, two_sided: bool
+    u, eps: float | None, mode: QuantifierMode, two_sided: bool, d: np.ndarray | None = None
 ) -> tuple[float, int, int, int]:
     """Worst pair of the eps-inequality, as certificate indices (value, i, j, n).
 
@@ -86,19 +93,26 @@ def _worst_pair(
     with ``eps`` None it is the least weighted rise (d[j] - d[i])*(n - i), the
     negated minimal eps.  Two-sided (affine) checks take the lesser rise of d, -d.
     Ties go to the lexicographically first (i, j).  EXISTS (n = i + 1) scans
-    suffix minima; FORALL (n = j) enumerates every pair.
+    suffix minima; FORALL (n = j) enumerates every pair.  A caller that holds
+    the differences ``d`` of ``u`` passes them in.
+
+    Raises:
+        ValidationError: if the worst value overflows.
     """
-    d = deltas(u)
-    if mode is QuantifierMode.EXISTS:
-        shift = 0.0 if eps is None else eps
-        return min(_suffix_scan(s, shift) for s in ((d, -d) if two_sided else (d,)))
-    ii, jj = np.triu_indices(len(d), k=1)
-    rise = d[jj] - d[ii]
-    if two_sided:
-        rise = -np.abs(rise)
-    worst = rise * (jj - ii) if eps is None else rise + eps / (jj - ii)
+    if d is None:
+        d = deltas(u)
+    shift = 0.0 if eps is None else eps
+    # |rise| <= 4 max|u| and a weight is below m
+    with overflow_guard(u, 4.0 * len(u), shift):
+        if mode is QuantifierMode.EXISTS:
+            return _finite(*min(_suffix_scan(s, shift) for s in ((d, -d) if two_sided else (d,))))
+        ii, jj = np.triu_indices(len(d), k=1)
+        rise = d[jj] - d[ii]
+        if two_sided:
+            rise = -np.abs(rise)
+        worst = rise * (jj - ii) if eps is None else rise + eps / (jj - ii)
     t = int(np.argmin(worst))
-    return float(worst[t]), int(ii[t]) + 1, int(jj[t]) + 1, int(jj[t]) + 1
+    return _finite(float(worst[t]), int(ii[t]) + 1, int(jj[t]) + 1, int(jj[t]) + 1)
 
 
 def is_convex(u, *, tol: float = DEFAULT_TOL) -> Verdict:
@@ -112,13 +126,13 @@ def is_convex(u, *, tol: float = DEFAULT_TOL) -> Verdict:
     if len(u) < 3:
         return Verdict(True)
     d = deltas(u)
-    steps = d[1:] - d[:-1]
+    with overflow_guard(u, 4.0):
+        steps = d[1:] - d[:-1]
     k = int(np.argmin(steps))
-    worst = float(steps[k])
+    worst, i, j, n = _finite(float(steps[k]), k + 1, k + 2, k + 2)
     if worst >= -tol:
         return Verdict(True)
-    cert = Certificate(VIOLATION, "convex", i=k + 1, j=k + 2, n=k + 2, margin=worst)
-    return Verdict(False, cert)
+    return Verdict(False, Certificate(VIOLATION, "convex", i, j, n, margin=worst))
 
 
 def _eps_verdict(u, eps, mode: QuantifierMode, tol: float, check: str) -> Verdict:
@@ -136,12 +150,13 @@ def _min_eps(u, mode: QuantifierMode, check: str) -> tuple[float, Certificate | 
     u = as_sequence(u)
     if len(u) < 3:
         return 0.0, None
-    value, i, j, n = _worst_pair(u, None, mode, two_sided=check == "eps_affine")
+    d = deltas(u)
+    value, i, j, n = _worst_pair(u, None, mode, check == "eps_affine", d)
     eps_min = -value
     if eps_min <= 0.0:
         return 0.0, None
     witness = Certificate(WITNESS, check, i, j, n, margin=math.nan)
-    return eps_min, replace(witness, margin=replay_margin(u, witness, eps=eps_min))
+    return eps_min, replace(witness, margin=_pair_margin(d, witness, eps_min))
 
 
 def is_eps_convex(
@@ -227,17 +242,10 @@ def _wright_blocks(m: int):
         s0 = s1
 
 
-def _check_pair_sums(v: np.ndarray) -> bool:
-    """Raise unless every pair sum v[p] + v[s] (s >= p + 2) is finite.
-
-    Returns whether every margin is finite as well, which holds when 4 max|v|
-    is: a margin adds four entries.
-    """
-    big = float(np.abs(v).max())
-    if math.isfinite(4.0 * big):
-        return True
-    if math.isfinite(2.0 * big):
-        return False  # every pair sum is finite, a margin may not be
+def _check_pair_sums(v: np.ndarray) -> None:
+    """Raise unless every pair sum v[p] + v[s] (s >= p + 2) is finite."""
+    if math.isfinite(2.0 * float(np.abs(v).max())):
+        return
     with np.errstate(over="ignore"):
         for p in range(len(v) - 2):
             bad = np.flatnonzero(np.isinf(v[p] + v[p + 2 :]))
@@ -245,7 +253,6 @@ def _check_pair_sums(v: np.ndarray) -> bool:
                 s = p + 2 + int(bad[0])
                 a, b = float(v[p]), float(v[s])
                 raise ValidationError(f"entries {p} and {s} overflow when added: {a!r} + {b!r}")
-    return False
 
 
 def _first_attaining(B: np.ndarray, j, t, vq, vr, c: float) -> np.ndarray:
@@ -331,14 +338,12 @@ def is_wright_convex(u, *, tol: float = DEFAULT_TOL) -> Verdict:
     if m < 4:
         return is_convex(u, tol=tol)
     v = u.as_array()
-    if _check_pair_sums(v):
+    _check_pair_sums(v)
+    with overflow_guard(u, 4.0):  # a margin adds four entries
         worst = _wright_worst(v)
-    else:
-        with np.errstate(over="ignore"):
-            worst = _wright_worst(v)
-        if worst is not None and worst[0] == -math.inf:
-            _, p, q, s = worst
-            raise ValidationError(f"Wright margin at p={p}, q={q}, s={s} overflows")
+    if worst is not None and worst[0] == -math.inf:
+        _, p, q, s = worst
+        raise ValidationError(f"Wright margin at p={p}, q={q}, s={s} overflows")
     if worst is None or worst[0] >= -tol:
         return Verdict(True)
     margin, p, q, s = worst
@@ -357,7 +362,11 @@ def replay_margin(u, cert: Certificate, *, eps: float = 0.0) -> float:
     if cert.check == "wright":
         r = cert.i + cert.j - cert.n
         return ((u[cert.i] + u[cert.j]) - u[cert.n]) - u[r]
-    d = deltas(u)
+    return _pair_margin(deltas(u), cert, eps)
+
+
+def _pair_margin(d: np.ndarray, cert: Certificate, eps: float) -> float:
+    """Signed slack of a pair certificate, from the differences ``d``."""
     di, dj = float(d[cert.i - 1]), float(d[cert.j - 1])
     if cert.check == "convex":
         return dj - di

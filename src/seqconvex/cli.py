@@ -6,7 +6,7 @@ Subcommands::
     eps-min    exact minimal eps for the convex and affine slack inequalities
     decompose  convex, optimal-convex or arithmetic decomposition
     extend     evaluate the piecewise-linear extension at points or on a grid
-    verify     seeded property suites backed by the brute-force oracles
+    verify     seeded property suites (see :mod:`seqconvex.verify`)
 
 Reports are JSON on stdout with every float rendered at 17 significant
 digits, so a report round-trips losslessly and identical inputs produce
@@ -28,7 +28,6 @@ import click
 import numpy as np
 
 from . import decompose as dec
-from . import oracle
 from .classify import (
     Certificate,
     Verdict,
@@ -46,18 +45,10 @@ from .core import (
     Sequence,
     ValidationError,
     check_eps,
-    mediant_bounds,
 )
 from .extend import PiecewiseLinear
+from .verify import _SUITES, RNG_NOTE, run_suite
 from . import __version__
-
-#: Documented trial-seed derivation for the verify suites.
-SEED_STRIDE = 1_000_003
-SUITE_SALTS = {"thm09": 9, "thm10": 10, "thm11": 11, "lemma22": 22}
-RNG_NOTE = {
-    "algorithm": "numpy-pcg64",
-    "trial_seed": "(seed + suite_salt) * 1000003 + trial_index",
-}
 
 
 # --------------------------------------------------------------------------
@@ -101,10 +92,6 @@ def render_json(value, indent: int = 0) -> str:
         items = [f"{inner}{render_json(v, indent + 1)}" for v in value]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     raise TypeError(f"cannot render {type(value)!r} in a report")
-
-
-def _emit(report: dict) -> None:
-    click.echo(render_json(report))
 
 
 # --------------------------------------------------------------------------
@@ -192,161 +179,12 @@ def _base_report(command: str, digest, mode: str | None, tol: float) -> dict:
 def _finish(report: dict, started: float, no_timing: bool) -> None:
     if not no_timing:
         report["timing"] = {"seconds": time.perf_counter() - started}
-    _emit(report)
+    click.echo(render_json(report))
 
 
 def _fail_input(message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(2)
-
-
-def _mode(value: str) -> QuantifierMode:
-    return QuantifierMode(value)
-
-
-# --------------------------------------------------------------------------
-# verification suites
-
-
-def _trial_rng(seed: int, salt: int, k: int) -> tuple[int, np.random.Generator]:
-    trial_seed = (seed + salt) * SEED_STRIDE + k
-    return trial_seed, np.random.default_rng(trial_seed)
-
-
-def _suite_thm09(seed: int, trials: int, tol: float) -> dict:
-    """Wright convexity agrees with ordinary convexity on random sequences."""
-    failures = 0
-    first = None
-    for k in range(trials):
-        trial_seed, rng = _trial_rng(seed, SUITE_SALTS["thm09"], k)
-        m = int(rng.integers(1, 31))
-        if k % 2 == 0:
-            spec = oracle.GeneratorSpec(trial_seed + 1, m, oracle.Family.RANDOM_UNIFORM)
-        else:
-            spec = oracle.GeneratorSpec(
-                trial_seed + 1, m, oracle.Family.INTEGER_GRID, grid_range=2
-            )
-        u = oracle.generate(spec)
-        if is_wright_convex(u, tol=tol).holds != is_convex(u, tol=tol).holds:
-            failures += 1
-            if first is None:
-                first = {"trial": k, "length": m, "values": list(u)}
-    return {
-        "name": "thm09",
-        "trials": trials,
-        "failures": failures,
-        "passed": failures == 0,
-        "first_failure": first,
-    }
-
-
-def _suite_thm10(seed: int, trials: int, tol: float) -> dict:
-    """Convex decomposition residuals stay inside [-eps/2, eps/2]."""
-    violations = 0
-    gap_failures = {"exists": 0, "forall": 0}
-    first = None
-    for k in range(trials):
-        trial_seed, rng = _trial_rng(seed, SUITE_SALTS["thm10"], k)
-        m = int(rng.integers(2, 101))
-        if k % 2 == 0:
-            eps_budget = float(rng.uniform(0.05, 2.0))
-            spec = oracle.GeneratorSpec(
-                trial_seed + 1, m, oracle.Family.CONVEX_PLUS_NOISE, eps=eps_budget
-            )
-        else:
-            spec = oracle.GeneratorSpec(trial_seed + 1, m, oracle.Family.RANDOM_UNIFORM)
-        u = oracle.generate(spec)
-        for mode in (QuantifierMode.EXISTS, QuantifierMode.FORALL):
-            try:
-                d = dec.convex_approx_hyers(u, mode, tol=tol)
-            except dec.ConvexGapError:
-                gap_failures[mode.value] += 1
-                continue
-            if d.bound > d.eps / 2.0 + 1e-9:
-                violations += 1
-                if first is None:
-                    first = {"trial": k, "mode": mode.value, "length": m}
-    return {
-        "name": "thm10",
-        "trials": trials,
-        "residual_violations": violations,
-        "gap_failures": gap_failures,
-        "passed": violations == 0,
-        "first_failure": first,
-    }
-
-
-def _suite_thm11(seed: int, trials: int, tol: float) -> dict:
-    """Arithmetic fits never exceed the minimal two-sided slack."""
-    violations = 0
-    first = None
-    for k in range(trials):
-        trial_seed, rng = _trial_rng(seed, SUITE_SALTS["thm11"], k)
-        m = int(rng.integers(2, 51))
-        if k % 2 == 0:
-            eps_budget = float(rng.uniform(0.05, 2.0))
-            spec = oracle.GeneratorSpec(
-                trial_seed + 1, m, oracle.Family.ARITHMETIC_PLUS_NOISE, eps=eps_budget
-            )
-        else:
-            spec = oracle.GeneratorSpec(trial_seed + 1, m, oracle.Family.RANDOM_UNIFORM)
-        u = oracle.generate(spec)
-        d = dec.affine_approx(u)
-        if d.bound > d.eps + 1e-9:
-            violations += 1
-            if first is None:
-                first = {"trial": k, "length": m, "bound": d.bound, "eps": d.eps}
-    return {
-        "name": "thm11",
-        "trials": trials,
-        "violations": violations,
-        "passed": violations == 0,
-        "first_failure": first,
-    }
-
-
-def _suite_lemma22(seed: int, trials: int, tol: float) -> dict:
-    """Combined ratio lies between the extreme termwise ratios."""
-    failures = 0
-    first = None
-    for k in range(trials):
-        _, rng = _trial_rng(seed, SUITE_SALTS["lemma22"], k)
-        terms = int(rng.integers(1, 11))
-        a = rng.uniform(-10.0, 10.0, terms)
-        b = rng.uniform(1e-3, 10.0, terms)
-        low, high = mediant_bounds(a, b)
-        combined = float(a.sum() / b.sum())
-        if not (low - 1e-12 <= combined <= high + 1e-12):
-            failures += 1
-            if first is None:
-                first = {"trial": k, "low": low, "high": high, "combined": combined}
-    return {
-        "name": "lemma22",
-        "trials": trials,
-        "failures": failures,
-        "passed": failures == 0,
-        "first_failure": first,
-    }
-
-
-_SUITES = {
-    "thm09": _suite_thm09,
-    "thm10": _suite_thm10,
-    "thm11": _suite_thm11,
-    "lemma22": _suite_lemma22,
-}
-
-
-def run_suite(name: str, seed: int, trials: int, tol: float = DEFAULT_TOL) -> dict:
-    """Run one named verification suite and return its result record."""
-    if name not in _SUITES:
-        raise ValidationError(f"unknown suite {name!r}")
-    if trials < 1:
-        raise ValidationError("trials must be positive")
-    if seed < 0:
-        # trial seeds (seed + salt) * SEED_STRIDE + k must stay nonnegative
-        raise ValidationError(f"seed must be nonnegative, got {seed}")
-    return _SUITES[name](seed, trials, tol)
 
 
 # --------------------------------------------------------------------------
@@ -429,7 +267,7 @@ def classify_cmd(data, eps, mode, tol, strict, no_timing) -> None:
     """Classify a sequence, with certificates for every failed check."""
     started = time.perf_counter()
     u, digest = _load_or_exit(data)
-    qmode = _mode(mode)
+    qmode = QuantifierMode(mode)
     results = {
         "convex": _verdict_json(is_convex(u, tol=tol)),
         "wright_convex": _verdict_json(is_wright_convex(u, tol=tol)),
@@ -458,7 +296,7 @@ def eps_min_cmd(data, mode, tol, no_timing) -> None:
     """Exact minimal eps for the convex and affine slack inequalities."""
     started = time.perf_counter()
     u, digest = _load_or_exit(data)
-    qmode = _mode(mode)
+    qmode = QuantifierMode(mode)
     cv, cv_cert = min_eps_convex(u, qmode)
     af, af_cert = min_eps_affine(u, qmode)
     report = _base_report("eps-min", digest, mode, tol)
@@ -491,7 +329,7 @@ def decompose_cmd(data, target, mode, tol, plot_data, no_timing) -> None:
     """Split a sequence into a structured part plus a bounded residual."""
     started = time.perf_counter()
     u, digest = _load_or_exit(data)
-    qmode = _mode(mode)
+    qmode = QuantifierMode(mode)
     report = _base_report("decompose", digest, mode, tol)
     try:
         if target == "convex":

@@ -11,6 +11,7 @@ that analytically tight cases survive floating-point rounding.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from enum import Enum
 from typing import Iterable, Iterator
@@ -57,22 +58,27 @@ class Sequence:
     Entries are validated once at construction: every value must be finite
     (NaN and infinities are rejected) and the sequence must be nonempty.  They
     are kept in one read-only float64 array; ``values`` is a tuple view of it.
+    The largest magnitude ``_peak`` comes from the same pass, so kernels can
+    rule out overflow with a scalar test.
     """
 
-    __slots__ = ("_array", "_values")
+    __slots__ = ("_array", "_values", "_peak")
 
     def __init__(self, values: Iterable[float]) -> None:
         try:
             arr = np.array(values, dtype=float)
+            peak = float(np.abs(arr).max(initial=0.0)) if arr.ndim == 1 else math.nan
         except (TypeError, ValueError, OverflowError):
-            arr = None
-        if arr is None or arr.ndim != 1 or not np.isfinite(arr).all():
+            arr, peak = None, math.nan
+        if not math.isfinite(peak):  # a NaN or infinite entry makes the peak one too
             arr = np.array(_coerce_entries(values), dtype=float)
+            peak = float(np.abs(arr).max(initial=0.0))
         if arr.size == 0:
             raise ValidationError("a sequence needs at least one value")
         arr.setflags(write=False)
         self._array = arr
         self._values = None
+        self._peak = peak
 
     @property
     def values(self) -> tuple[float, ...]:
@@ -142,12 +148,28 @@ def deltas(u: Sequence | Iterable[float]) -> np.ndarray:
     if len(u) < 2:
         raise TooShortError("sequence too short for differences")
     v = u.as_array()
-    d = v[1:] - v[:-1]  # what np.diff computes, without its per-call overhead
+    if math.isfinite(2.0 * u._peak):  # no difference can overflow
+        return v[1:] - v[:-1]  # what np.diff computes, without its per-call overhead
+    with np.errstate(over="ignore"):
+        d = v[1:] - v[:-1]
     if np.isinf(d).any():  # entries are finite, so their differences are never NaN
         k = int(np.argmax(np.isinf(d))) + 1
         a, b = v[k - 1 : k + 1].tolist()
         raise ValidationError(f"difference at entry {k} overflows: {b!r} - {a!r}")
     return d
+
+
+def overflow_guard(u: Sequence, factor: float, shift: float = 0.0):
+    """Silence numpy's overflow warnings unless factor * max|u| + shift is finite.
+
+    A caller whose results are bounded by that scalar checks them for infinities.
+    """
+    if math.isfinite(factor * u._peak + shift):
+        return _NO_GUARD
+    return np.errstate(over="ignore")
+
+
+_NO_GUARD = contextlib.nullcontext()  # stateless, so one instance serves every call
 
 
 def check_eps(eps: float) -> float:

@@ -12,6 +12,7 @@ from seqconvex import (
     Sequence,
     ValidationError,
     affine_approx,
+    convex_approx_hyers,
     deltas,
     is_convex,
     is_eps_affine,
@@ -252,6 +253,55 @@ def test_exists_kernels_use_linear_memory():
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("mode", [E, F])
+def test_minimal_eps_takes_differences_once(monkeypatch, mode):
+    calls = []
+
+    def spy(u):
+        calls.append(len(u))
+        return deltas(u)
+
+    monkeypatch.setattr(classify, "deltas", spy)
+    u = Sequence(np.random.default_rng(8).uniform(-1, 1, 30))
+    for call in (
+        lambda: min_eps_convex(u, mode),
+        lambda: min_eps_affine(u, mode),
+        lambda: convex_approx_hyers(u, mode),
+        lambda: affine_approx(u),
+    ):
+        calls.clear()
+        call()
+        assert calls == [30]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda u: is_convex(u),
+        lambda u: is_eps_convex(u, 1.0, E),
+        lambda u: is_eps_affine(u, 1.0, F),
+        lambda u: min_eps_convex(u, E),
+        lambda u: min_eps_convex(u, F),
+        lambda u: min_eps_affine(u, E),
+    ],
+)
+def test_overflowing_difference_pair_is_an_input_error(call):
+    # the differences 1.2e308, -1.2e308, 0 are finite, their gap is not
+    with pytest.raises(ValidationError, match="differences at entries 1 and 2 overflow"):
+        call([0.0, 1.2e308, 0.0, 0.0])
+
+
+def test_forall_overflow_matters_only_at_the_worst_pair():
+    # the weighted rise 5e307 * 4 of the pair (1, 5) overflows: its eps is no float
+    with pytest.raises(ValidationError, match="differences at entries 1 and 5 overflow"):
+        min_eps_convex([0.0, 5e307, -5e307, 0.0, 0.0, 0.0], F)
+    # only the rise of the pair (1, 3), the largest one, overflows, so the
+    # least rise and the verdicts are exact
+    u = [0.0, -1e308, -1e308, 0.0]
+    assert min_eps_convex(u, F) == (0.0, None)
+    assert is_convex(u).holds and is_eps_convex(u, 0.0, F).holds
 
 
 # --- Wright convexity ---------------------------------------------------

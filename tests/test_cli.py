@@ -371,13 +371,14 @@ def test_overflowing_input_gives_strict_json_or_error(runner, tmp_path, values, 
         assert result.stdout == "" and result.stderr.startswith("error: ")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "command, values, message",
     [
         ("classify", "1.7e308,1.7e308,1.6e308,1.7e308", "error: entries 0 and 2 overflow when added"),
         ("classify", "0,1.7e308,-1.7e308,0", "error: difference at entry 2 overflows"),
         ("eps-min", "0,1.7e308,-1.7e308,0", "error: difference at entry 2 overflows"),
+        ("classify", "0,1.2e308,0,0", "error: differences at entries 1 and 2 overflow when compared"),
+        ("eps-min", "0,1.2e308,0,0", "error: differences at entries 1 and 2 overflow when compared"),
     ],
 )
 def test_overflowing_pair_sum_or_difference_exits_two(runner, tmp_path, command, values, message):
@@ -386,6 +387,7 @@ def test_overflowing_pair_sum_or_difference_exits_two(runner, tmp_path, command,
     result = runner.invoke(main, [command, "--no-timing", str(path)])
     assert result.exit_code == 2
     assert result.stdout == "" and result.stderr.startswith(message)
+    assert result.stderr.count("\n") == 1
 
 
 numbers = st.one_of(

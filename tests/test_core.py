@@ -33,7 +33,6 @@ def test_deltas_too_short():
         deltas([3.0])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_deltas_overflow_names_the_entry():
     with pytest.raises(ValidationError, match="difference at entry 2 overflows"):
         deltas([0, 1.7e308, -1.7e308, 0])

@@ -211,7 +211,6 @@ def test_chord_bounds_random_spans_hold_with_any_slack():
         assert check_chord_slope_bounds(f, eps, x, y).holds
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_chord_bounds_reject_any_overflowing_knot_slope():
     # as everywhere in the package, differences that overflow are an input
     # error, also when the span stops short of them
