@@ -6,9 +6,10 @@ convex.  Each check returns a :class:`Verdict`; a failed check carries a
 violated, together with the signed slack there (negative slack = violation).
 The eps-convex and eps-affine checks and their exact minimal eps all read
 one worst-pair kernel over the first differences: in EXISTS mode it is an
-O(m) suffix-minimum scan, in FORALL mode it still enumerates all O(m^2)
-pairs.  The Wright check is exact in O(m^2) time: a prefix minimum of pair
-sums along each anti-diagonal, held in blocks of bounded size.
+O(m) suffix-minimum scan, in FORALL mode an exact search of the staircase of
+prefix maxima against suffix minima that skips blocks by a corner bound, in
+O(m) memory.  The Wright check is exact in O(m^2) time: a prefix minimum of
+pair sums along each anti-diagonal, held in blocks of bounded size.
 
 Index conventions match the difference sequence: a certificate pair (i, j)
 with 1 <= i < j <= m - 1 refers to the differences u[i] - u[i-1] and
@@ -26,6 +27,7 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     QuantifierMode,
+    Sequence,
     ValidationError,
     as_sequence,
     check_eps,
@@ -78,6 +80,67 @@ def _suffix_scan(d: np.ndarray, shift: float) -> tuple[float, int, int, int]:
     return float(rise[i]), i + 1, j + 1, i + 2
 
 
+def _pair_values(rise, w, eps: float | None):
+    """The FORALL value of pairs with rise d[j] - d[i] and weight w = j - i."""
+    return rise * w if eps is None else rise + eps / w
+
+
+def _staircase_scan(d: np.ndarray, eps: float | None) -> tuple[float, int, int, int]:
+    """Least FORALL value over i < j of d and its first pair, as certificate indices.
+
+    Rows are the i < len(d) - 1 where d[i] equals the running maximum of
+    d[:i + 1], columns the j >= 1 where d[j] equals the running minimum of
+    d[j:]; the first worst pair's row is a row of this grid (see
+    :func:`_worst_pair`).  A block of the grid is skipped when its corner
+    bound, the least rise with the most favourable weight, can neither beat
+    the best value found so far nor tie it in an earlier row; a block of at
+    most ``_WRIGHT_BLOCK`` cells is evaluated densely, and a larger one is
+    halved, the more promising half first.  The first j of the best row comes
+    from one scan of that row.
+    """
+    rows = np.flatnonzero(d[:-1] == np.maximum.accumulate(d[:-1]))
+    cols = 1 + np.flatnonzero(d[1:] == np.minimum.accumulate(d[:0:-1])[::-1])
+    hi, lo = d[rows], d[cols]  # both nondecreasing
+
+    def block(r0, r1, c0, c1):
+        """(bound, r0, r1, c0, c1) of the cells with j > i, or None if there are none."""
+        if cols[c0] <= rows[r0]:
+            c0 = int(np.searchsorted(cols, rows[r0], side="right"))
+        if rows[r1 - 1] >= cols[c1 - 1]:
+            r1 = int(np.searchsorted(rows, cols[c1 - 1]))
+        if c0 >= c1 or r0 >= r1:
+            return None
+        rise = float(lo[c0]) - float(hi[r1 - 1])
+        far = rise < 0.0 or eps is not None  # the bound takes the longest weight
+        w = int(cols[c1 - 1] - rows[r0]) if far else max(1, int(cols[c0] - rows[r1 - 1]))
+        return _pair_values(rise, w, eps), r0, r1, c0, c1
+
+    best, best_r = math.inf, len(rows)
+    stack = [(-math.inf, 0, len(rows), 0, len(cols))]  # every cell of row 0 has j > i
+    while stack:
+        bound, r0, r1, c0, c1 = stack.pop()
+        if (bound, r0) >= (best, best_r):
+            continue
+        if (r1 - r0) * (c1 - c0) <= _WRIGHT_BLOCK:
+            w = cols[c0:c1] - rows[r0:r1, None]
+            v = _pair_values(lo[c0:c1] - hi[r0:r1, None], np.maximum(w, 1), eps)
+            v[w <= 0] = np.inf
+            t = int(np.argmin(v))  # row-major: the first row of a tie
+            best, best_r = min((best, best_r), (float(v.flat[t]), r0 + t // (c1 - c0)))
+            continue
+        if r1 - r0 >= c1 - c0:
+            h = (r0 + r1) // 2
+            halves = (block(r0, h, c0, c1), block(h, r1, c0, c1))
+        else:
+            h = (c0 + c1) // 2
+            halves = (block(r0, r1, c0, h), block(r0, r1, h, c1))
+        stack.extend(sorted((b for b in halves if b is not None), reverse=True))
+    i = int(rows[best_r])
+    v = _pair_values(d[i + 1 :] - d[i], np.arange(1, len(d) - i), eps)
+    k = int(np.argmin(v))
+    return float(v[k]), i + 1, i + k + 2, i + k + 2
+
+
 def _finite(value: float, i: int, j: int, n: int) -> tuple[float, int, int, int]:
     if not math.isfinite(value):
         raise ValidationError(f"differences at entries {i} and {j} overflow when compared")
@@ -93,8 +156,17 @@ def _worst_pair(
     with ``eps`` None it is the least weighted rise (d[j] - d[i])*(n - i), the
     negated minimal eps.  Two-sided (affine) checks take the lesser rise of d, -d.
     Ties go to the lexicographically first (i, j).  EXISTS (n = i + 1) scans
-    suffix minima; FORALL (n = j) enumerates every pair.  A caller that holds
-    the differences ``d`` of ``u`` passes them in.
+    suffix minima.  FORALL (n = j) searches a staircase grid: rounding is
+    monotone, so (i, j) is never better than (i', j) with i' <= i and
+    d[i'] >= d[i], nor than (i, j') with j' >= j and d[j'] <= d[j] (with eps
+    None, wherever the rise is negative).  So the first worst pair's row is a
+    strict prefix maximum of d, reaching the worst value at a column whose
+    difference is at most every later one; with d nondecreasing the worst pair
+    is adjacent and lies on that grid too.  On the grid the exact value is
+    Monge, so the good cells hug one monotone staircase and the corner bounds
+    of distant blocks rule them out.  Those bounds hold under rounding, by the
+    same monotonicity; the Monge order of the row minima does not, so
+    :func:`_staircase_scan` never relies on it.  A caller that holds the differences ``d`` of ``u`` passes them in.
 
     Raises:
         ValidationError: if the worst value overflows.
@@ -102,17 +174,12 @@ def _worst_pair(
     if d is None:
         d = deltas(u)
     shift = 0.0 if eps is None else eps
+    sides = (d, -d) if two_sided else (d,)
     # |rise| <= 4 max|u| and a weight is below m
     with overflow_guard(u, 4.0 * len(u), shift):
         if mode is QuantifierMode.EXISTS:
-            return _finite(*min(_suffix_scan(s, shift) for s in ((d, -d) if two_sided else (d,))))
-        ii, jj = np.triu_indices(len(d), k=1)
-        rise = d[jj] - d[ii]
-        if two_sided:
-            rise = -np.abs(rise)
-        worst = rise * (jj - ii) if eps is None else rise + eps / (jj - ii)
-    t = int(np.argmin(worst))
-    return _finite(float(worst[t]), int(ii[t]) + 1, int(jj[t]) + 1, int(jj[t]) + 1)
+            return _finite(*min(_suffix_scan(s, shift) for s in sides))
+        return _finite(*min(_staircase_scan(s, eps) for s in sides))
 
 
 def is_convex(u, *, tol: float = DEFAULT_TOL) -> Verdict:
@@ -217,7 +284,8 @@ def min_eps_affine(
     return _min_eps(u, mode, "eps_affine")
 
 
-#: Cells (anti-diagonal x inner index) the Wright kernel holds per block.
+#: Cells the Wright kernel (anti-diagonal x inner index) and the FORALL pair
+#: kernel (row x column) evaluate per block.
 _WRIGHT_BLOCK = 1 << 14
 
 #: +-inf padding on both sides of the Wright kernel's input, wider than any block.
@@ -242,10 +310,11 @@ def _wright_blocks(m: int):
         s0 = s1
 
 
-def _check_pair_sums(v: np.ndarray) -> None:
-    """Raise unless every pair sum v[p] + v[s] (s >= p + 2) is finite."""
-    if math.isfinite(2.0 * float(np.abs(v).max())):
+def _check_pair_sums(u: Sequence) -> None:
+    """Raise unless every pair sum u[p] + u[s] (s >= p + 2) is finite."""
+    if math.isfinite(2.0 * u._peak):
         return
+    v = u.as_array()
     with np.errstate(over="ignore"):
         for p in range(len(v) - 2):
             bad = np.flatnonzero(np.isinf(v[p] + v[p + 2 :]))
@@ -338,7 +407,7 @@ def is_wright_convex(u, *, tol: float = DEFAULT_TOL) -> Verdict:
     if m < 4:
         return is_convex(u, tol=tol)
     v = u.as_array()
-    _check_pair_sums(v)
+    _check_pair_sums(u)
     with overflow_guard(u, 4.0):  # a margin adds four entries
         worst = _wright_worst(v)
     if worst is not None and worst[0] == -math.inf:

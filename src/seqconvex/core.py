@@ -162,11 +162,13 @@ def deltas(u: Sequence | Iterable[float]) -> np.ndarray:
 def overflow_guard(u: Sequence, factor: float, shift: float = 0.0):
     """Silence numpy's overflow warnings unless factor * max|u| + shift is finite.
 
-    A caller whose results are bounded by that scalar checks them for infinities.
+    The invalid-operation warnings that infinities lead to (inf - inf) are
+    silenced too.  A caller whose results are bounded by that scalar checks
+    them for infinities.
     """
     if math.isfinite(factor * u._peak + shift):
         return _NO_GUARD
-    return np.errstate(over="ignore")
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 _NO_GUARD = contextlib.nullcontext()  # stateless, so one instance serves every call

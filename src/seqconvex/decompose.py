@@ -25,6 +25,7 @@ from .core import (
     Sequence,
     ValidationError,
     as_sequence,
+    overflow_guard,
 )
 
 
@@ -121,7 +122,7 @@ def gcm(u) -> Sequence:
     hx = _lower_hull(u.values)
     # np.interp returns hull points exactly and fills the gaps between them
     # with u[hx[k]] + slope * (x - hx[k]), the chord through two hull points.
-    return Sequence(np.interp(np.arange(m), hx, u.as_array()[hx]))
+    return _part(np.interp(np.arange(m), hx, u.as_array()[hx]), "convex minorant")
 
 
 def _gap_pieces(lo: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -145,9 +146,31 @@ def _gap_pieces(lo: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, ...]:
     return a, gap, n, k
 
 
+def _hull_gaps(u: Sequence, base: np.ndarray) -> tuple[np.ndarray, int]:
+    """The gaps u - base above the convex minorant and the index of the largest.
+
+    Raises:
+        ValidationError: if a gap overflows, naming its entry.
+    """
+    with overflow_guard(u, 2.0):  # 0 <= u - base <= 2 max|u|
+        gaps = u.as_array() - base
+    k = int(np.argmax(gaps))
+    if not math.isfinite(gaps[k]):
+        raise ValidationError(f"hull gap at entry {k} overflows: {u[k]!r} - {float(base[k])!r}")
+    return gaps, k
+
+
+def _part(values: np.ndarray, what: str) -> Sequence:
+    """``Sequence(values)`` of a computed part, naming the part if it overflows."""
+    try:
+        return Sequence(values)
+    except ValidationError as exc:
+        raise ValidationError(f"the {what} overflows: {exc}") from None
+
+
 def _split(u: Sequence, structured: np.ndarray) -> tuple[Sequence, Sequence]:
     """The structured part and the residual u - structured."""
-    return Sequence(structured), Sequence(u.as_array() - structured)
+    return _part(structured, "structured part"), _part(u.as_array() - structured, "residual")
 
 
 def convex_approx_hyers(
@@ -167,12 +190,12 @@ def convex_approx_hyers(
     u = as_sequence(u)
     eps, _ = min_eps_convex(u, mode)
     base = gcm(u).as_array()
-    gaps = u.as_array() - base
-    worst = int(np.argmax(gaps))
+    gaps, worst = _hull_gaps(u, base)
     if gaps[worst] > eps + tol:
         raise ConvexGapError(worst, float(gaps[worst]), eps, mode)
-    structured, residual = _split(u, base + eps / 2.0)
-    bound = float(np.abs(residual.as_array()).max())
+    with overflow_guard(u, 2.0, eps):
+        structured, residual = _split(u, base + eps / 2.0)
+    bound = residual._peak
     return Decomposition(structured, residual, bound, eps=eps, slack=eps / 2.0 - bound)
 
 
@@ -186,8 +209,10 @@ def convex_approx_optimal(u) -> Decomposition:
     """
     u = as_sequence(u)
     base = gcm(u).as_array()
-    t = float((u.as_array() - base).max()) / 2.0
-    structured, residual = _split(u, base + t)
+    gaps, k = _hull_gaps(u, base)
+    t = float(gaps[k]) / 2.0
+    with overflow_guard(u, 3.0):  # t <= max|u|
+        structured, residual = _split(u, base + t)
     return Decomposition(structured, residual, t)
 
 
@@ -209,15 +234,25 @@ def affine_approx(u) -> Decomposition:
     if m == 1:
         line = Line(0.0, u[0])
         return Decomposition(u, Sequence([0.0]), 0.0, eps=0.0, slack=0.0, line=line)
-    a, width, _, _ = _gap_pieces(arr, arr)
-    s = float(a[np.argmin(width)])
-    fit = s * np.arange(m, dtype=float)
-    res = arr - fit
-    intercept = (float(res.max()) + float(res.min())) / 2.0
-    line = Line(s, intercept)
-    structured, residual = _split(u, fit + intercept)
-    bound = float(np.abs(residual.as_array()).max())
-    eps, _ = min_eps_affine(u, QuantifierMode.EXISTS)
+    eps, _ = min_eps_affine(u, QuantifierMode.EXISTS)  # names differences that overflow
+    # slopes are at most 2 max|u|, so every term is below (4m + 2) max|u|
+    with overflow_guard(u, 4.0 * m + 2.0):
+        a, width, n, k = _gap_pieces(arr, arr)
+        t = int(np.argmin(width))  # a NaN width, from slopes that overflow, comes first
+        if not math.isfinite(width[t]):
+            raise ValidationError(f"entries {n[t]} and {k[t]} overflow in the line fit")
+        s = float(a[t])
+        fit = s * np.arange(m, dtype=float)
+        res = arr - fit
+        top, bottom = int(np.argmax(res)), int(np.argmin(res))
+        intercept = (float(res[top]) + float(res[bottom])) / 2.0
+        if math.isinf(intercept):  # a sum that overflows; its halves do not
+            intercept = float(res[top]) / 2.0 + float(res[bottom]) / 2.0
+        if not math.isfinite(intercept):
+            raise ValidationError(f"entries {top} and {bottom} overflow in the line fit")
+        line = Line(s, intercept)
+        structured, residual = _split(u, fit + intercept)
+    bound = residual._peak
     return Decomposition(structured, residual, bound, eps=eps, slack=eps - bound, line=line)
 
 

@@ -234,6 +234,86 @@ def test_worst_pair_matches_double_loop(mode):
                         assert (c.margin, c.i, c.j, c.n) == ref
 
 
+def staircase_inputs():
+    """Long staircases, ties, large scales and rounding traps, m <= 200."""
+    rng = np.random.default_rng(909)
+    for t in range(84):
+        m = int(rng.integers(100, 201)) if t % 7 == 0 else int(rng.integers(3, 50))
+        n = np.arange(m)
+        yield [
+            np.cumsum(np.sort(rng.normal(size=m))) + rng.uniform(-1e-3, 1e-3, m),  # convex + noise
+            np.cumsum(np.sort(rng.integers(-5, 6, m))).astype(float),  # sorted integer steps
+            n * n * rng.uniform(0.1, 3.0),  # strictly increasing d: the worst value is >= 0
+            rng.integers(-2, 3, m).astype(float),  # integer grid: many ties
+            np.cumsum(np.resize([0.1, 0.7, 0.3], m)),  # repeated pattern: ties up to rounding
+            rng.uniform(-1, 1, m) * 1e300,
+            # steps near 2**53 between flat stretches, the rounding trap pinned below
+            np.cumsum(np.resize([2.0**53 + 2 * int(rng.integers(0, 3)), 0.0, 0.5], m)),
+        ][t % 7]
+
+
+def test_forall_kernel_matches_double_loop(monkeypatch):
+    for x in staircase_inputs():
+        u = Sequence(x)
+        for two_sided in (False, True):
+            eps_min = (min_eps_affine if two_sided else min_eps_convex)(u, F)[0]
+            for eps in dict.fromkeys((None, 0.0, eps_min / 2, eps_min, 1.5 * eps_min)):
+                ref = pair_reference(u, eps, F, two_sided)
+                for block in (4, 1 << 14):
+                    monkeypatch.setattr(classify, "_WRIGHT_BLOCK", block)
+                    assert _worst_pair(u, eps, F, two_sided) == ref
+
+
+def test_forall_kernel_returns_the_first_of_a_tie(monkeypatch):
+    for block in (1, 1 << 14):
+        monkeypatch.setattr(classify, "_WRIGHT_BLOCK", block)
+        # differences 0, -3, 3, 1, -3, 3: the pairs (0, 4) and (2, 4) both weigh
+        # -12, and one-cell blocks meet (2, 4) first
+        u = Sequence(np.concatenate(([0.0], np.cumsum([0.0, -3.0, 3.0, 1.0, -3.0, 3.0]))))
+        assert _worst_pair(u, None, F, False) == (-12.0, 1, 5, 5) == pair_reference(u, None, F, False)
+        # differences 1e20, 1, 0.5 at eps 1: (0, 1) ties (0, 2) by rounding,
+        # though d[1] > d[2] keeps 1 off the staircase of columns
+        u = Sequence([-1e20, 0.0, 1.0, 1.5])
+        assert _worst_pair(u, 1.0, F, False) == (-1e20, 1, 2, 2) == pair_reference(u, 1.0, F, False)
+
+
+def test_forall_kernel_is_exact_where_rounding_breaks_monge(monkeypatch):
+    u = Sequence([0.0, 9007199254740994.0, 1.8014398509481988e16] + [2.7021597764222984e16] * 4)
+    d = deltas(u)
+    rows = np.flatnonzero(d[:-1] == np.maximum.accumulate(d[:-1]))
+    cols = 1 + np.flatnonzero(d[1:] == np.minimum.accumulate(d[:0:-1])[::-1])
+    grid = (d[cols] - d[rows, None]) + 4.0 / (cols - rows[:, None])
+    # the first row minima of the grid are out of order, so a search that
+    # narrows the rows above row 1 to the columns up to its minimum misses row 0's
+    assert list(np.argmin(grid, axis=1)) == [2, 0, 1]
+    for block in (1, 1 << 14):
+        monkeypatch.setattr(classify, "_WRIGHT_BLOCK", block)
+        assert _worst_pair(u, 4.0, F, False) == (-9007199254740994.0, 1, 6, 6)
+        assert _worst_pair(u, 4.0, F, False) == pair_reference(u, 4.0, F, False)
+
+
+def test_forall_kernels_use_linear_memory():
+    m = 100_000
+    rng = np.random.default_rng(6)
+    # convex plus noise: long staircases of rows and columns
+    u = Sequence(np.cumsum(np.sort(rng.normal(size=m))) + rng.uniform(-1e-3, 1e-3, m))
+
+    def calls():
+        is_eps_convex(u, 0.5, F)
+        is_eps_affine(u, 0.5, F)
+        min_eps_convex(u, F)
+        min_eps_affine(u, F)
+
+    calls()  # warm caches and lazy imports
+    tracemalloc.start()
+    try:
+        calls()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_exists_kernels_use_linear_memory():
     m = 4_000
     u = Sequence(np.cumsum(np.random.default_rng(5).normal(size=m)))

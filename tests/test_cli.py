@@ -352,8 +352,6 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "values", ["-1e308,1e308,-1e308", "0,1e308,0", "1.5e308,1.5e308,1.5e308,1.5e308"]
 )

@@ -263,6 +263,21 @@ def test_affine_structured_is_arithmetic():
         assert all(abs(a - b) <= 1e-9 for a, b in zip(vals, vals[1:]))
 
 
+def test_decompositions_name_the_input_entries_that_overflow():
+    # the hull gap 1e308 - -1e308 at entry 1 is no float
+    with pytest.raises(ValidationError, match="hull gap at entry 1 overflows"):
+        convex_approx_optimal([-1e308, 1e308, -1e308])
+    # an exact line of slope 1.7e308: its value 3.4e308 at entry 2 is no float
+    with pytest.raises(ValidationError, match="entries 2 and 0 overflow in the line fit"):
+        affine_approx([-1.7e308, 0.0, 1.7e308])
+    # the structured part of a constant sequence near the top of the range is
+    # the sequence itself, although the sum of its extreme residuals overflows
+    d = affine_approx([1.5e308] * 4)
+    assert d.structured.values == (1.5e308,) * 4 and d.bound == 0.0
+    with pytest.raises(ValidationError, match="the structured part overflows: entry 0"):
+        convex_approx_optimal([1.7e308, 0.0, 1.7e308, 0.0, 1.7e308])
+
+
 # --- separating line --------------------------------------------------------
 
 
